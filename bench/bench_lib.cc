@@ -4,18 +4,12 @@
 
 #include <memory>
 
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "mlc/calibration.h"
 
 namespace approxmem::bench {
 namespace {
-
-uint64_t SplitMix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 // Process-wide sweep runtime: one thread pool and one shared calibration
 // cache, parameterized by the first BenchEnv seen (each bench binary parses
@@ -97,8 +91,8 @@ core::EngineOptions MakeEngineOptions(const BenchEnv& env) {
 
 uint64_t CellSeed(uint64_t seed, size_t row, size_t col) {
   // 1-based row so cell (0, 0) still perturbs the base seed.
-  return seed ^ SplitMix64((static_cast<uint64_t>(row) + 1) * 0x100000001b3ULL +
-                           static_cast<uint64_t>(col));
+  return seed ^ Mix64((static_cast<uint64_t>(row) + 1) * 0x100000001b3ULL +
+                      static_cast<uint64_t>(col) + kSplitMix64Gamma);
 }
 
 core::ApproxSortEngine MakeCellEngine(const BenchEnv& env, size_t row,

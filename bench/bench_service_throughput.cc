@@ -24,7 +24,6 @@
 #include "common/thread_pool.h"
 #include "extsort/extsort_plan.h"
 #include "service/sort_service.h"
-#include "testing/differential_oracle.h"
 
 namespace approxmem {
 namespace {
@@ -133,18 +132,6 @@ ServiceRun RunAtShards(const bench::BenchEnv& env, int shards, size_t jobs,
   return run;
 }
 
-/// The service's per-shard, per-tenant engine seed (sort_service.cc
-/// MixSeed), replicated so the standalone parity engine starts from the
-/// byte-identical substrate the service's shard 0 would build.
-uint64_t ShardEngineSeed(uint64_t service_seed,
-                         const service::TenantSpec& tenant) {
-  uint64_t h = testing::Fnv1a64(tenant.name.data(), tenant.name.size());
-  h = testing::Fnv1a64(&tenant.seed, sizeof(tenant.seed), h);
-  const uint64_t shard = 0;
-  h = testing::Fnv1a64(&shard, sizeof(shard), h);
-  return service_seed ^ h;
-}
-
 /// Runs one out-of-core job through the service, then the identical
 /// ExtsortJobPlan standalone on an identically seeded engine, and returns
 /// (service write cost) / (standalone write cost). The plans rebase every
@@ -187,14 +174,14 @@ double ExtsortCostParity(const bench::BenchEnv& env, uint64_t trials,
     std::exit(1);
   }
 
-  // The standalone substrate mirrors EngineFor: same MixSeed-derived seed,
+  // The standalone substrate mirrors EngineFor: the same shard-0 seed,
   // health monitoring on, and a fresh wear-aware placement policy — so any
   // residual cost difference is the service's own doing, not setup skew.
   service::WearLevelOptions wear_options;
   service::WearPlacement wear(wear_options);
   core::EngineOptions engine_options;
   engine_options.backend = tenant.backend;
-  engine_options.seed = ShardEngineSeed(env.seed, tenant);
+  engine_options.seed = service::ShardEngineSeed(env.seed, 0, tenant);
   engine_options.calibration_trials = trials;
   engine_options.shared_calibration = cache;
   engine_options.health.enabled = true;
@@ -206,7 +193,6 @@ double ExtsortCostParity(const bench::BenchEnv& env, uint64_t trials,
   context.engine = &engine;
   context.ticket = record.ticket;
   context.knob = record.effective_knob;
-  context.resilient = tenant.resilient;
   context.resilience = tenant.resilience;
   extsort::ExtsortJobPlan plan(record.request, tenant.extsort);
   const core::JobOutcome outcome = plan.Execute(context);

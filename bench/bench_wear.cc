@@ -33,11 +33,11 @@
 
 #include "approx/endurance.h"
 #include "bench/bench_lib.h"
+#include "common/hash.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "core/workload.h"
 #include "service/sort_service.h"
-#include "testing/differential_oracle.h"
 #include "testing/fault_injection.h"
 
 namespace approxmem {
@@ -250,10 +250,10 @@ AgingRunResult RunAgingService(
   AgingRunResult result;
   result.stats = sort_service.stats();
   result.timeline_digest = sort_service.RetirementTimelineDigest();
-  uint64_t ledgers = testing::Fnv1a64(nullptr, 0);
+  uint64_t ledgers = Fnv1a64(nullptr, 0);
   for (const std::string& name : sort_service.tenant_names()) {
     const uint64_t digest = sort_service.tenant_ledger(name).Digest();
-    ledgers = testing::Fnv1a64(&digest, sizeof(digest), ledgers);
+    ledgers = Fnv1a64(&digest, sizeof(digest), ledgers);
   }
   result.ledger_digest = ledgers;
   for (int s = 0; s < options.shards; ++s) {
@@ -280,8 +280,8 @@ AgingRunResult RunAgingService(
     const uint64_t digest =
         expected.empty()
             ? 0
-            : testing::Fnv1a64(expected.data(),
-                               expected.size() * sizeof(uint32_t));
+            : Fnv1a64(expected.data(),
+                      expected.size() * sizeof(uint32_t));
     if (digest != record.keys_digest) ++result.oracle_failures;
   }
   result.p99_drift = sort_service.slo().P99DriftRatio();

@@ -16,23 +16,6 @@
 #include "core/workload.h"
 #include "refine/cost_model.h"
 
-namespace {
-
-approxmem::sort::AlgorithmId ParseAlgorithm(const std::string& name) {
-  using approxmem::sort::AlgorithmId;
-  using approxmem::sort::SortKind;
-  if (name == "quicksort") return {SortKind::kQuicksort, 0};
-  if (name == "mergesort") return {SortKind::kMergesort, 0};
-  const int bits = name.back() - '0';
-  if (name.rfind("lsd", 0) == 0) return {SortKind::kLsdRadix, bits};
-  if (name.rfind("msd", 0) == 0) return {SortKind::kMsdRadix, bits};
-  std::fprintf(stderr, "unknown --algo=%s (use quicksort|mergesort|lsd3..6|"
-                       "msd3..6)\n", name.c_str());
-  std::exit(2);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace approxmem;
 
@@ -42,8 +25,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   const size_t n = static_cast<size_t>(flags->GetInt("n", 400000));
-  const sort::AlgorithmId algorithm =
-      ParseAlgorithm(flags->GetString("algo", "lsd3"));
+  const StatusOr<sort::AlgorithmId> parsed =
+      sort::ParseAlgorithm(flags->GetString("algo", "lsd3"));
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    return 2;
+  }
+  const sort::AlgorithmId algorithm = *parsed;
   const size_t pilot_n = static_cast<size_t>(
       flags->GetInt("pilot_n", static_cast<int64_t>(n / 20 + 1000)));
 

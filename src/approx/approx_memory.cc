@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace approxmem::approx {
 namespace {
@@ -39,13 +40,9 @@ ApproxMemory::ApproxMemory(const Options& options)
 }
 
 void ApproxMemory::BeginJobStream(uint64_t stream_key) {
-  // SplitMix64-style diffusion of the key so adjacent job ids land on
+  // SplitMix64 diffusion of the key so adjacent job ids land on
   // well-separated generator seeds.
-  uint64_t mixed = stream_key + 0x9e3779b97f4a7c15ULL;
-  mixed = (mixed ^ (mixed >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  mixed = (mixed ^ (mixed >> 27)) * 0x94d049bb133111ebULL;
-  mixed ^= mixed >> 31;
-  rng_ = Rng(options_.seed ^ mixed);
+  rng_ = Rng(options_.seed ^ Mix64(stream_key + kSplitMix64Gamma));
 }
 
 ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,

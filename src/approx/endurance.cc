@@ -3,29 +3,9 @@
 #include <string_view>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace approxmem::approx {
-namespace {
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::string_view BankStateName(BankState state) {
   switch (state) {
@@ -133,18 +113,18 @@ double EnduranceLedger::WearFraction(int bank) const {
 }
 
 uint64_t EnduranceLedger::TimelineDigest() const {
-  uint64_t h = kFnvOffset;
-  h = FnvMix(h, retirements_.size());
+  uint64_t h = kFnv1a64Offset;
+  h = Fnv1a64Word(h, retirements_.size());
   for (const RetirementEvent& event : retirements_) {
-    h = FnvMix(h, static_cast<uint64_t>(event.bank));
-    h = FnvMix(h, static_cast<uint64_t>(event.reason));
-    h = FnvMix(h, event.virtual_time);
+    h = Fnv1a64Word(h, static_cast<uint64_t>(event.bank));
+    h = Fnv1a64Word(h, static_cast<uint64_t>(event.reason));
+    h = Fnv1a64Word(h, event.virtual_time);
     // Wear is charged in a fixed serial order, so the double is bit-stable.
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(event.consumed_pv));
     __builtin_memcpy(&bits, &event.consumed_pv, sizeof(bits));
-    h = FnvMix(h, bits);
-    h = FnvMix(h, event.quarantines);
+    h = Fnv1a64Word(h, bits);
+    h = Fnv1a64Word(h, event.quarantines);
   }
   return h;
 }
@@ -156,7 +136,8 @@ WearErrorHook::WearErrorHook(const EnduranceLedger* ledger,
 }
 
 void WearErrorHook::BeginJob(uint64_t ticket) {
-  job_key_ = SplitMix64(ticket ^ ledger_->options().seed);
+  job_key_ =
+      Mix64((ticket ^ ledger_->options().seed) + kSplitMix64Gamma);
   draw_counter_ = 0;
 }
 
@@ -172,7 +153,8 @@ uint32_t WearErrorHook::OnWrite(uint64_t address, bool precise_domain,
   if (lane >= static_cast<uint64_t>(ledger_->total_banks())) return stored;
   const double rate = ledger_->ExtraWordErrorRate(static_cast<int>(lane));
   if (rate <= 0.0) return stored;
-  const uint64_t bits = SplitMix64(job_key_ ^ draw_counter_++);
+  const uint64_t bits =
+      Mix64((job_key_ ^ draw_counter_++) + kSplitMix64Gamma);
   // Top 53 bits -> uniform double in [0, 1); low 5 bits pick the flipped
   // bit position when the draw lands under the escalated rate.
   const double draw =

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace approxmem {
 namespace {
@@ -12,10 +13,7 @@ inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 // SplitMix64 step, used only for seeding.
 inline uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return Mix64(state += kSplitMix64Gamma);
 }
 
 }  // namespace

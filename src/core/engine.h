@@ -3,10 +3,18 @@
 // One engine instance owns the simulated hybrid memory (backend, write
 // models, calibrations, RNG tree) and exposes the paper's experiment
 // families on whichever technology EngineOptions::backend selects:
-//   * SortApproxOnly    — Section 3: sort in approximate memory only and
-//                         measure sortedness vs. write-cost savings.
-//   * SortApproxRefine  — Sections 4-5: the approx-refine mechanism with a
-//                         precise-baseline comparison (write reduction).
+//   * SortApproxOnly      — Section 3: sort in approximate memory only and
+//                           measure sortedness vs. write-cost savings.
+//   * SortApproxRefine    — Sections 4-5: the approx-refine mechanism with a
+//                           precise-baseline comparison (write reduction).
+//   * SortRunApproxRefine / SortRunPrecise — one stream-keyed run of the
+//                           out-of-core sort (extsort/external_sort.h), with
+//                           no per-run baseline.
+//   * core::SortResilient — approx-refine behind the verified-retry ladder
+//                           (core/resilience.h); core::InMemoryJobPlan runs
+//                           every in-memory job through it.
+// All of them take their knob validation, allocators, sort seed and precise
+// baseline from the run plumbing below, so they cannot drift apart.
 // The Appendix A spintronic experiments are the same calls with
 // backend = "spintronic" and the knob set to a per-bit error probability.
 //
@@ -164,21 +172,34 @@ class ApproxSortEngine {
   /// mode.
   sort::SortTuning SortTuningForRuns();
 
- private:
-  StatusOr<ApproxOnlyResult> SortOnlyImpl(
+  // ---- Run plumbing shared by every entry point and core::SortResilient.
+
+  /// InvalidArgument unless `knob` is a valid approximate setting for an
+  /// n-element allocation on this backend.
+  Status ValidateKnob(double knob, size_t n) const;
+
+  /// Pivot seed of the approx-refine sorts and their precise baselines: the
+  /// engine seed under a fixed salt. The stream-keyed overload mixes in a
+  /// run's key so every out-of-core run draws independent pivots.
+  uint64_t SortSeed() const;
+  uint64_t SortSeed(uint64_t stream_key) const;
+
+  /// Approx-refine options for `algorithm` at `knob`: allocators on this
+  /// engine's approximate (at `knob`) and precise domains, SortTuningForRuns,
+  /// and `sort_seed`.
+  refine::RefineOptions RefineOptionsFor(const sort::AlgorithmId& algorithm,
+                                         double knob, uint64_t sort_seed);
+
+  /// Equation 2's denominator: `algorithm` over `keys` entirely in this
+  /// engine's precise memory (see refine::PreciseSortBaseline for the
+  /// optional outputs).
+  StatusOr<refine::PreciseBaselineReport> PreciseBaseline(
       const std::vector<uint32_t>& keys, const sort::AlgorithmId& algorithm,
-      const refine::ArrayAlloc& approx_alloc,
-      const refine::ArrayAlloc& precise_alloc,
-      std::vector<uint32_t>* output);
+      uint64_t sort_seed, bool with_ids, const sort::SortTuning& tuning,
+      std::vector<uint32_t>* sorted_keys = nullptr,
+      std::vector<uint32_t>* sorted_ids = nullptr);
 
-  StatusOr<RefineOutcome> RefineImpl(const std::vector<uint32_t>& keys,
-                                     const sort::AlgorithmId& algorithm,
-                                     const refine::ArrayAlloc& approx_alloc,
-                                     const refine::ArrayAlloc& precise_alloc,
-                                     double pv_ratio,
-                                     std::vector<uint32_t>* final_keys,
-                                     std::vector<uint32_t>* final_ids);
-
+ private:
   EngineOptions options_;
   approx::ApproxMemory memory_;
   /// Lazily created when sort_threads != 1 and no sort_pool was provided.

@@ -1,19 +1,15 @@
 #include "core/job_plan.h"
 
-#include <utility>
 #include <vector>
 
-#include "testing/differential_oracle.h"
+#include "common/hash.h"
 
 namespace approxmem::core {
-namespace {
 
 uint64_t VectorDigest(const std::vector<uint32_t>& values) {
   if (values.empty()) return 0;
-  return testing::Fnv1a64(values.data(), values.size() * sizeof(uint32_t));
+  return Fnv1a64(values.data(), values.size() * sizeof(uint32_t));
 }
-
-}  // namespace
 
 std::string_view JobClassName(JobClass job_class) {
   switch (job_class) {
@@ -37,41 +33,21 @@ JobOutcome InMemoryJobPlan::Execute(const JobContext& context) {
 
   std::vector<uint32_t> final_keys;
   std::vector<uint32_t> final_ids;
-  if (context.resilient) {
-    const StatusOr<ResilienceReport> report =
-        SortResilient(engine, keys, job_.algorithm, context.knob,
-                      context.resilience, &final_keys, &final_ids);
-    if (!report.ok()) {
-      outcome.status = report.status();
-    } else {
-      outcome.attempts = report->attempts.size();
-      outcome.verified = report->verified;
-      outcome.cost = report->cumulative;
-      outcome.baseline_write_cost = report->baseline.TotalWriteCost();
-      outcome.write_reduction = report->write_reduction;
-      outcome.status = report->verified
-                           ? Status::Ok()
-                           : Status::Unavailable(
-                                 "resilience ladder exhausted unverified");
-    }
+  const StatusOr<ResilienceReport> report =
+      SortResilient(engine, keys, job_.algorithm, context.knob,
+                    context.resilience, &final_keys, &final_ids);
+  if (!report.ok()) {
+    outcome.status = report.status();
   } else {
-    const StatusOr<RefineOutcome> refined = engine.SortApproxRefine(
-        keys, job_.algorithm, context.knob, &final_keys, &final_ids);
-    if (!refined.ok()) {
-      outcome.status = refined.status();
-    } else {
-      outcome.attempts = 1;
-      outcome.verified = refined->refine.verified();
-      outcome.cost = refined->refine.TotalStats();
-      outcome.baseline_write_cost = refined->baseline.TotalWriteCost();
-      outcome.write_reduction = refined->write_reduction;
-      outcome.status =
-          outcome.verified
-              ? Status::Ok()
-              : Status::Unavailable(
-                    "refine output unverified: " +
-                    refined->refine.verification.ToString());
-    }
+    outcome.attempts = report->attempts.size();
+    outcome.verified = report->verified;
+    outcome.cost = report->cumulative;
+    outcome.baseline_write_cost = report->baseline.TotalWriteCost();
+    outcome.write_reduction = report->write_reduction;
+    outcome.status =
+        report->verified
+            ? Status::Ok()
+            : Status::Unavailable("resilience ladder exhausted unverified");
   }
   outcome.keys_digest = VectorDigest(final_keys);
   outcome.ids_digest = VectorDigest(final_ids);

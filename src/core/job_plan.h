@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "approx/memory_stats.h"
 #include "common/status.h"
@@ -39,7 +40,7 @@ namespace approxmem::core {
 /// Which execution path a job runs on.
 enum class JobClass : uint8_t {
   /// The whole input fits the substrate: resilient approx-refine
-  /// (core/resilience.h) or plain SortApproxRefine.
+  /// (core/resilience.h).
   kInMemory = 0,
   /// Out-of-core: the external sort under a modeled MemoryBudget lease,
   /// spilling key+rowid records to an async block device.
@@ -68,8 +69,7 @@ struct JobContext {
   uint64_t ticket = 0;
   /// Effective approximation knob, after any aging-driven tightening.
   double knob = 0.0;
-  /// Run under the verified-retry ladder where the plan supports it.
-  bool resilient = true;
+  /// Bounds of the in-memory plan's verified-retry ladder.
   ResilienceOptions resilience;
 };
 
@@ -114,9 +114,12 @@ class JobPlan {
   virtual JobOutcome Execute(const JobContext& context) = 0;
 };
 
-/// The in-memory path: today's ApproxSortEngine execution — resilient
-/// ladder when context.resilient, plain approx-refine otherwise — with the
-/// per-job precise baseline both variants already pay.
+/// FNV-1a digest of a key or record-ID vector (0 when empty): the form of
+/// JobOutcome::keys_digest and ids_digest for every plan.
+uint64_t VectorDigest(const std::vector<uint32_t>& values);
+
+/// The in-memory path: core::SortResilient's verified-retry ladder, with
+/// its per-job precise baseline.
 class InMemoryJobPlan : public JobPlan {
  public:
   explicit InMemoryJobPlan(const SortJob& job) : job_(job) {}

@@ -6,21 +6,9 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/hash.h"
+
 namespace approxmem::core {
-namespace {
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string_view AttemptPolicyName(AttemptPolicy policy) {
   switch (policy) {
@@ -37,21 +25,21 @@ std::string_view AttemptPolicyName(AttemptPolicy policy) {
 }
 
 uint64_t ResilienceReport::AttemptDigest() const {
-  uint64_t h = kFnvOffset;
-  h = FnvMix(h, static_cast<uint64_t>(attempts.size()));
+  uint64_t h = kFnv1a64Offset;
+  h = Fnv1a64Word(h, static_cast<uint64_t>(attempts.size()));
   for (const AttemptRecord& a : attempts) {
-    h = FnvMix(h, static_cast<uint64_t>(a.policy));
-    h = FnvMix(h, std::bit_cast<uint64_t>(a.t));
-    h = FnvMix(h, static_cast<uint64_t>(a.status.code()));
-    h = FnvMix(h, a.verified ? 1 : 0);
-    h = FnvMix(h, static_cast<uint64_t>(a.verification.failure));
-    h = FnvMix(h, static_cast<uint64_t>(a.rem_estimate));
-    h = FnvMix(h, a.cost.word_writes);
-    h = FnvMix(h, a.cost.word_reads);
+    h = Fnv1a64Word(h, static_cast<uint64_t>(a.policy));
+    h = Fnv1a64Word(h, std::bit_cast<uint64_t>(a.t));
+    h = Fnv1a64Word(h, static_cast<uint64_t>(a.status.code()));
+    h = Fnv1a64Word(h, a.verified ? 1 : 0);
+    h = Fnv1a64Word(h, static_cast<uint64_t>(a.verification.failure));
+    h = Fnv1a64Word(h, static_cast<uint64_t>(a.rem_estimate));
+    h = Fnv1a64Word(h, a.cost.word_writes);
+    h = Fnv1a64Word(h, a.cost.word_reads);
   }
-  h = FnvMix(h, verified ? 1 : 0);
-  h = FnvMix(h, static_cast<uint64_t>(final_policy));
-  h = FnvMix(h, std::bit_cast<uint64_t>(final_t));
+  h = Fnv1a64Word(h, verified ? 1 : 0);
+  h = Fnv1a64Word(h, static_cast<uint64_t>(final_policy));
+  h = Fnv1a64Word(h, std::bit_cast<uint64_t>(final_t));
   return h;
 }
 
@@ -61,13 +49,8 @@ StatusOr<ResilienceReport> SortResilient(
     const ResilienceOptions& options, std::vector<uint32_t>* final_keys,
     std::vector<uint32_t>* final_ids) {
   approx::ApproxMemory& memory = engine.memory();
-  const Status valid =
-      memory.backend().Validate(approx::AllocSpec::Approx(t, keys.size()));
+  const Status valid = engine.ValidateKnob(t, keys.size());
   if (!valid.ok()) return valid;
-  const refine::ArrayAlloc precise_alloc = [&memory](size_t n) {
-    return memory.NewPreciseArray(n);
-  };
-  const uint64_t base_sort_seed = engine.options().seed ^ 0x4e414cULL;
   // All canary traffic spent during this call (baseline and attempts alike)
   // is charged to the cumulative ledger at the end.
   const approx::MemoryStats canary_before =
@@ -76,12 +59,14 @@ StatusOr<ResilienceReport> SortResilient(
   ResilienceReport report;
   report.n = keys.size();
 
-  // The precise baseline: Equation 2's denominator, same seed as the plain
-  // engine path so resilient and plain outcomes are directly comparable.
+  // The precise baseline: Equation 2's denominator, same seed as
+  // SortApproxRefine so the two outcomes are directly comparable. It runs
+  // with the default tuning: the LSD arena mode changes scratch sizes, and
+  // with them the addresses every later allocation of this call lands on.
   {
     StatusOr<refine::PreciseBaselineReport> baseline =
-        refine::PreciseSortBaseline(keys, algorithm, precise_alloc,
-                                    base_sort_seed, /*with_ids=*/true);
+        engine.PreciseBaseline(keys, algorithm, engine.SortSeed(),
+                               /*with_ids=*/true, sort::SortTuning{});
     if (!baseline.ok()) return baseline.status();
     report.baseline = std::move(baseline.value());
   }
@@ -114,17 +99,9 @@ StatusOr<ResilienceReport> SortResilient(
                                 bool precise_domain) -> Status {
     const uint64_t quarantined_before =
         memory.health().stats().regions_quarantined;
-    refine::RefineOptions ro;
-    ro.algorithm = algorithm;
-    ro.precise_alloc = precise_alloc;
-    ro.approx_alloc =
-        precise_domain
-            ? precise_alloc
-            : refine::ArrayAlloc([&memory, attempt_t](size_t n) {
-                return memory.NewApproxArray(n, attempt_t);
-              });
-    ro.sort_seed = sort_seed;
-    ro.tuning = engine.SortTuningForRuns();
+    refine::RefineOptions ro =
+        engine.RefineOptionsFor(algorithm, attempt_t, sort_seed);
+    if (precise_domain) ro.approx_alloc = ro.precise_alloc;
 
     refine::ApproxStageState state;
     Status status = refine::RunApproxStage(keys, ro, &state);
@@ -184,7 +161,7 @@ StatusOr<ResilienceReport> SortResilient(
     }
   };
 
-  Status last = full_attempt(AttemptPolicy::kInitial, t, base_sort_seed,
+  Status last = full_attempt(AttemptPolicy::kInitial, t, engine.SortSeed(),
                              /*precise_domain=*/false);
   double current_t = t;
   int escalations = 0;

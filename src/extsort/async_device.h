@@ -1,6 +1,6 @@
 // Asynchronous block-device model for the out-of-core external sort.
 //
-// The device separates two timelines that the old SimulatedDisk conflated:
+// The device keeps two timelines apart:
 //
 //  * Wall clock: the bytes of a transfer are moved by a task scheduled on
 //    the deterministic ThreadPool, so run formation genuinely overlaps its

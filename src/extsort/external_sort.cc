@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "extsort/loser_tree.h"
 #include "refine/approx_refine.h"
 #include "sortedness/measures.h"
-#include "testing/differential_oracle.h"
 
 namespace approxmem::extsort {
 namespace {
@@ -67,7 +67,7 @@ Sizing DeriveSizing(const ExternalSortOptions& options,
   return sizing;
 }
 
-uint64_t EmptyDigest() { return testing::Fnv1a64(nullptr, 0); }
+uint64_t EmptyDigest() { return Fnv1a64(nullptr, 0); }
 
 DeviceStats StatsDelta(const DeviceStats& after, const DeviceStats& before) {
   DeviceStats d;
@@ -360,10 +360,8 @@ StatusOr<ExternalSortReport> ExternalSort(core::ApproxSortEngine& engine,
         sort_cost_ns =
             run_report->TotalWriteCost() + run_report->TotalReadCost();
       } else {
-        const auto baseline = engine.SortRunPrecise(chunk, options.algorithm,
-                                                    options.stream_salt ^
-                                                        (k + 1),
-                                                    keys_out, ids_out);
+        const auto baseline = engine.SortRunPrecise(
+            chunk, options.algorithm, stream_key, keys_out, ids_out);
         if (!baseline.ok()) return baseline.status();
         const double write_cost =
             baseline->keys.write_cost + baseline->ids.write_cost;
@@ -394,8 +392,9 @@ StatusOr<ExternalSortReport> ExternalSort(core::ApproxSortEngine& engine,
     report.run_formation.compute_us += sort_cost_ns / 1000.0;
     prev_sort_done_us = sort_done_us;
 
-    report.spill_digest = testing::Fnv1a64(
-        sorted.data(), sorted.size() * sizeof(uint32_t), report.spill_digest);
+    report.spill_digest =
+        Fnv1a64(sorted.data(), sorted.size() * sizeof(uint32_t),
+                report.spill_digest);
 
     const size_t begin = device.FileSize(run_file);
     flushes[k].slot = BudgetReservation(budget, sorted.size() * 4);
@@ -485,9 +484,9 @@ StatusOr<ExternalSortReport> ExternalSort(core::ApproxSortEngine& engine,
   device.Drain();
   const std::vector<uint32_t> output = device.PeekData(final_file);
   report.output_digest =
-      output.empty() ? EmptyDigest()
-                     : testing::Fnv1a64(output.data(),
-                                        output.size() * sizeof(uint32_t));
+      output.empty()
+          ? EmptyDigest()
+          : Fnv1a64(output.data(), output.size() * sizeof(uint32_t));
   if (!options.verify) {
     report.verified = true;
   } else if (options.record_payloads) {

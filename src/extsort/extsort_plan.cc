@@ -3,15 +3,8 @@
 #include <utility>
 #include <vector>
 
-#include "testing/differential_oracle.h"
-
 namespace approxmem::extsort {
 namespace {
-
-uint64_t VectorDigest(const std::vector<uint32_t>& values) {
-  if (values.empty()) return 0;
-  return testing::Fnv1a64(values.data(), values.size() * sizeof(uint32_t));
-}
 
 /// Stages `keys` as a fresh input file and zeroes the virtual clock so the
 /// sort's timeline starts at 0 instead of queued behind the staging write.
@@ -84,8 +77,8 @@ core::JobOutcome ExtsortJobPlan::Execute(const core::JobContext& context) {
     out_keys[i] = pairs[2 * i];
     out_ids[i] = pairs[2 * i + 1];
   }
-  outcome.keys_digest = VectorDigest(out_keys);
-  outcome.ids_digest = VectorDigest(out_ids);
+  outcome.keys_digest = core::VectorDigest(out_keys);
+  outcome.ids_digest = core::VectorDigest(out_ids);
 
   if (options_.baseline) {
     // Equation 2's denominator: the identical pipeline with precise

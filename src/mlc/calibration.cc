@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "mlc/cell.h"
 #include "mlc/word_codec.h"
@@ -18,13 +19,6 @@ namespace {
 // count (never on the thread count), so merged counts — and therefore every
 // derived statistic — are bit-identical for any schedule.
 constexpr uint64_t kShardTrials = 4096;
-
-// SplitMix64 finalizer; used to derive per-T substream seeds.
-uint64_t MixSeed(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 }  // namespace
 
@@ -384,7 +378,7 @@ uint64_t CalibrationCache::SeedForT(double t) const {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(t));
   std::memcpy(&bits, &t, sizeof(bits));
-  return MixSeed(seed_ ^ (bits + 0x9e3779b97f4a7c15ULL));
+  return Mix64(seed_ ^ (bits + kSplitMix64Gamma));
 }
 
 const CellCalibration& CalibrationCache::ForT(double t) {

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "testing/differential_oracle.h"
+#include "common/hash.h"
 
 namespace approxmem::service {
 namespace {
@@ -17,24 +17,19 @@ double NowSeconds() {
       .count();
 }
 
-uint64_t MixSeed(uint64_t service_seed, int shard,
-                 const TenantSpec& tenant) {
-  uint64_t h = testing::Fnv1a64(tenant.name.data(), tenant.name.size());
-  h = testing::Fnv1a64(&tenant.seed, sizeof(tenant.seed), h);
-  const uint64_t s = static_cast<uint64_t>(shard);
-  h = testing::Fnv1a64(&s, sizeof(s), h);
-  return service_seed ^ h;
-}
-
-uint64_t DigestU64(uint64_t h, uint64_t value) {
-  return testing::Fnv1a64(&value, sizeof(value), h);
-}
-
 uint64_t DigestDouble(uint64_t h, double value) {
-  return testing::Fnv1a64(&value, sizeof(value), h);
+  return Fnv1a64(&value, sizeof(value), h);
 }
 
 }  // namespace
+
+uint64_t ShardEngineSeed(uint64_t service_seed, int shard,
+                         const TenantSpec& tenant) {
+  uint64_t h = Fnv1a64(tenant.name.data(), tenant.name.size());
+  h = Fnv1a64Word(h, tenant.seed);
+  h = Fnv1a64Word(h, static_cast<uint64_t>(shard));
+  return service_seed ^ h;
+}
 
 std::string_view JobStateName(JobState state) {
   switch (state) {
@@ -53,16 +48,16 @@ std::string_view JobStateName(JobState state) {
 }
 
 uint64_t TenantLedger::Digest() const {
-  uint64_t h = testing::Fnv1a64(nullptr, 0);
-  h = DigestU64(h, jobs_completed);
-  h = DigestU64(h, jobs_failed);
-  h = DigestU64(h, jobs_shed);
-  h = DigestU64(h, deferral_events);
-  h = DigestU64(h, cost.word_reads);
-  h = DigestU64(h, cost.word_writes);
-  h = DigestU64(h, cost.corrupted_writes);
-  h = DigestU64(h, cost.sequential_writes);
-  h = DigestU64(h, cost.degraded_regions);
+  uint64_t h = Fnv1a64(nullptr, 0);
+  h = Fnv1a64Word(h, jobs_completed);
+  h = Fnv1a64Word(h, jobs_failed);
+  h = Fnv1a64Word(h, jobs_shed);
+  h = Fnv1a64Word(h, deferral_events);
+  h = Fnv1a64Word(h, cost.word_reads);
+  h = Fnv1a64Word(h, cost.word_writes);
+  h = Fnv1a64Word(h, cost.corrupted_writes);
+  h = Fnv1a64Word(h, cost.sequential_writes);
+  h = Fnv1a64Word(h, cost.degraded_regions);
   h = DigestDouble(h, cost.write_cost);
   h = DigestDouble(h, cost.read_cost);
   h = DigestDouble(h, cost.pv_iterations);
@@ -464,7 +459,7 @@ core::ApproxSortEngine& SortService::EngineFor(Shard& shard,
   if (it != shard.engines.end()) return *it->second;
   core::EngineOptions engine_options;
   engine_options.backend = tenant.backend;
-  engine_options.seed = MixSeed(options_.seed, shard.index, tenant);
+  engine_options.seed = ShardEngineSeed(options_.seed, shard.index, tenant);
   engine_options.calibration_trials = options_.calibration_trials;
   engine_options.shared_calibration = calibration_;
   engine_options.health.enabled = options_.health_monitor;
@@ -531,7 +526,6 @@ void SortService::RunJob(Shard& shard, uint64_t ticket) {
   context.engine = &engine;
   context.ticket = ticket;
   context.knob = knob;
-  context.resilient = tenant.resilient;
   context.resilience = tenant.resilience;
   // On an endurance-modeled substrate, quarantines mean persistent damage;
   // re-reading the same placement cannot cure it (see resilience.h).
@@ -624,11 +618,11 @@ const approx::EnduranceLedger* SortService::shard_endurance(
 }
 
 uint64_t SortService::RetirementTimelineDigest() const {
-  uint64_t h = testing::Fnv1a64(nullptr, 0);
+  uint64_t h = Fnv1a64(nullptr, 0);
   for (const auto& shard : shards_) {
     const uint64_t d =
         shard->endurance ? shard->endurance->TimelineDigest() : 0;
-    h = DigestU64(h, d);
+    h = Fnv1a64Word(h, d);
   }
   return h;
 }

@@ -114,10 +114,8 @@ struct TenantSpec {
   double knob = std::numeric_limits<double>::quiet_NaN();
   /// Folded into every engine seed serving this tenant.
   uint64_t seed = 1;
-  /// Run jobs under the verified-retry ladder (core/resilience.h). When
-  /// false, jobs run plain approx-refine and fail on the first unverified
-  /// output. (kExtSort jobs verify per run and have no ladder either way.)
-  bool resilient = true;
+  /// Bounds of the verified-retry ladder (core/resilience.h) every
+  /// kInMemory job runs under. (kExtSort jobs verify per run instead.)
   core::ResilienceOptions resilience;
   /// Out-of-core execution settings for the tenant's kExtSort jobs: the
   /// per-job working-memory lease and the modeled device.
@@ -135,6 +133,12 @@ struct TenantSpec {
   /// whole-life budget).
   double epoch_cost_quota = 0.0;
 };
+
+/// Seed of the engine serving `tenant` on shard `shard`: the service seed
+/// folded with the tenant's name and seed and the shard index. A standalone
+/// engine built with it starts from the shard's byte-identical substrate.
+uint64_t ShardEngineSeed(uint64_t service_seed, int shard,
+                         const TenantSpec& tenant);
 
 enum class JobState : uint8_t {
   /// In the backlog, not yet admitted to a shard.

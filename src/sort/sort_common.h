@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "approx/approx_array.h"
@@ -72,6 +73,11 @@ struct AlgorithmId {
   /// Display name matching the paper's labels ("6-bit LSD", "Quicksort").
   std::string Name() const;
 };
+
+/// Parses a command-line algorithm name: "quicksort", "mergesort", or a
+/// radix prefix ("lsd", "msd", "hlsd", "hmsd") followed by a one-digit width
+/// 1..9 ("lsd3", "hmsd6"). InvalidArgument for anything else.
+StatusOr<AlgorithmId> ParseAlgorithm(std::string_view name);
 
 /// All algorithm instances of the Section 3/5 study (radix at 3..6 bits).
 std::vector<AlgorithmId> StudyAlgorithms();

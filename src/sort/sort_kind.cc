@@ -1,4 +1,6 @@
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "sort/mergesort.h"
 #include "sort/quicksort.h"
@@ -25,6 +27,23 @@ std::string AlgorithmId::Name() const {
       return std::to_string(radix_bits) + "-bit hist-MSD";
   }
   return "Unknown";
+}
+
+StatusOr<AlgorithmId> ParseAlgorithm(std::string_view name) {
+  if (name == "quicksort") return AlgorithmId{SortKind::kQuicksort, 0};
+  if (name == "mergesort") return AlgorithmId{SortKind::kMergesort, 0};
+  constexpr std::pair<std::string_view, SortKind> kRadixPrefixes[] = {
+      {"lsd", SortKind::kLsdRadix},
+      {"msd", SortKind::kMsdRadix},
+      {"hlsd", SortKind::kLsdHistogram},
+      {"hmsd", SortKind::kMsdHistogram}};
+  for (const auto& [prefix, kind] : kRadixPrefixes) {
+    if (name.size() == prefix.size() + 1 && name.starts_with(prefix) &&
+        name.back() >= '1' && name.back() <= '9') {
+      return AlgorithmId{kind, name.back() - '0'};
+    }
+  }
+  return Status::InvalidArgument("unknown algorithm: " + std::string(name));
 }
 
 std::vector<AlgorithmId> StudyAlgorithms() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/hash.h"
 #include "core/engine.h"
 #include "mem/memory_system.h"
 #include "testing/golden.h"
@@ -17,7 +18,7 @@ void Fail(OracleReport& report, const std::string& invariant,
 }
 
 void DigestU64(uint64_t& digest, uint64_t value) {
-  digest = Fnv1a64(&value, sizeof(value), digest);
+  digest = Fnv1a64Word(digest, value);
 }
 
 void DigestVec(uint64_t& digest, const std::vector<uint32_t>& values) {
@@ -28,16 +29,6 @@ void DigestVec(uint64_t& digest, const std::vector<uint32_t>& values) {
 }
 
 }  // namespace
-
-uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t seed) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t hash = seed;
-  for (size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 std::string OracleCase::Name() const {
   std::ostringstream out;

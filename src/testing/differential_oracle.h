@@ -99,9 +99,6 @@ struct OracleReport {
 OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
                                    const OracleOptions& options);
 
-/// FNV-1a 64-bit, the digest primitive used across the test framework.
-uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t seed = 0xcbf29ce484222325ULL);
-
 }  // namespace approxmem::testing
 
 #endif  // APPROXMEM_TESTING_DIFFERENTIAL_ORACLE_H_

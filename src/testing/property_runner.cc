@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "sort/sort_common.h"

@@ -9,7 +9,6 @@
 #include "core/engine.h"
 #include "dbops/aggregate.h"
 #include "dbops/join.h"
-#include "extsort/disk_model.h"
 #include "extsort/external_sort.h"
 #include "testing/fault_injection.h"
 #include "testing/golden.h"

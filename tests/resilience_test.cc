@@ -23,10 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/workload.h"
 #include "mlc/calibration.h"
-#include "testing/differential_oracle.h"
 #include "testing/fault_injection.h"
 
 namespace approxmem::core {
@@ -388,10 +388,10 @@ std::vector<std::string> RunResilientSweep(int threads) {
     EXPECT_EQ(out_keys, SortedCopy(keys)) << "case seed " << case_seeds[i];
 
     uint64_t digest = report->AttemptDigest();
-    digest = testing::Fnv1a64(out_keys.data(),
-                              out_keys.size() * sizeof(uint32_t), digest);
-    digest = testing::Fnv1a64(out_ids.data(),
-                              out_ids.size() * sizeof(uint32_t), digest);
+    digest = Fnv1a64(out_keys.data(),
+                     out_keys.size() * sizeof(uint32_t), digest);
+    digest = Fnv1a64(out_ids.data(),
+                     out_ids.size() * sizeof(uint32_t), digest);
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%016llx,%zu",
                   static_cast<unsigned long long>(digest),

@@ -14,10 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "core/workload.h"
 #include "mlc/calibration.h"
 #include "service/sort_service.h"
-#include "testing/differential_oracle.h"
 #include "testing/fault_injection.h"
 
 namespace approxmem {
@@ -36,15 +36,15 @@ std::shared_ptr<mlc::CalibrationCache> SharedCache() {
 }
 
 uint64_t CostDigest(const approx::MemoryStats& stats) {
-  uint64_t h = testing::Fnv1a64(&stats.word_reads, sizeof(stats.word_reads));
-  h = testing::Fnv1a64(&stats.word_writes, sizeof(stats.word_writes), h);
-  h = testing::Fnv1a64(&stats.write_cost, sizeof(stats.write_cost), h);
-  h = testing::Fnv1a64(&stats.read_cost, sizeof(stats.read_cost), h);
-  h = testing::Fnv1a64(&stats.corrupted_writes,
-                       sizeof(stats.corrupted_writes), h);
-  h = testing::Fnv1a64(&stats.pv_iterations, sizeof(stats.pv_iterations), h);
-  h = testing::Fnv1a64(&stats.degraded_regions,
-                       sizeof(stats.degraded_regions), h);
+  uint64_t h = Fnv1a64(&stats.word_reads, sizeof(stats.word_reads));
+  h = Fnv1a64(&stats.word_writes, sizeof(stats.word_writes), h);
+  h = Fnv1a64(&stats.write_cost, sizeof(stats.write_cost), h);
+  h = Fnv1a64(&stats.read_cost, sizeof(stats.read_cost), h);
+  h = Fnv1a64(&stats.corrupted_writes,
+              sizeof(stats.corrupted_writes), h);
+  h = Fnv1a64(&stats.pv_iterations, sizeof(stats.pv_iterations), h);
+  h = Fnv1a64(&stats.degraded_regions,
+              sizeof(stats.degraded_regions), h);
   return h;
 }
 
@@ -96,7 +96,6 @@ std::vector<service::TenantSpec> MatrixTenants() {
   tenants[2].backend = "spintronic";
   tenants[3].name = "dan";
   tenants[3].backend = "dram-precise";
-  tenants[3].resilient = false;
   return tenants;
 }
 
@@ -216,7 +215,7 @@ TEST(ServiceConcurrency, CompletedJobsMatchGoldenSort) {
         record.request.workload, record.request.n, record.request.seed);
     std::sort(golden.begin(), golden.end());
     const uint64_t golden_digest =
-        testing::Fnv1a64(golden.data(), golden.size() * sizeof(uint32_t));
+        Fnv1a64(golden.data(), golden.size() * sizeof(uint32_t));
     EXPECT_EQ(record.keys_digest, golden_digest)
         << "ticket " << record.ticket << " (" << record.request.Name()
         << ") is not the sorted input";

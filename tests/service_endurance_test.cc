@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "approx/endurance.h"
+#include "common/hash.h"
 #include "core/engine.h"
 #include "core/workload.h"
 #include "mlc/calibration.h"
 #include "service/sort_service.h"
-#include "testing/differential_oracle.h"
 
 namespace approxmem {
 namespace {
@@ -178,7 +178,7 @@ TEST(ServiceEndurance, RetirementKeepsTheServiceServingVerifiedJobs) {
         record.request.workload, record.request.n, record.request.seed);
     std::sort(golden.begin(), golden.end());
     EXPECT_EQ(record.keys_digest,
-              testing::Fnv1a64(golden.data(), golden.size() * sizeof(uint32_t)))
+              Fnv1a64(golden.data(), golden.size() * sizeof(uint32_t)))
         << "ticket " << record.ticket;
     if (record.wear_epoch >= 1) ++completed_on_aged_substrate;
   }
@@ -308,10 +308,10 @@ TEST(ServiceEndurance, WearErrorEscalationIsDeterministicAcrossSortThreads) {
         &final_keys, &final_ids);
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
     RunDigest digest;
-    digest.keys = testing::Fnv1a64(final_keys.data(),
-                                   final_keys.size() * sizeof(uint32_t));
-    digest.ids = testing::Fnv1a64(final_ids.data(),
-                                  final_ids.size() * sizeof(uint32_t));
+    digest.keys = Fnv1a64(final_keys.data(),
+                          final_keys.size() * sizeof(uint32_t));
+    digest.ids = Fnv1a64(final_ids.data(),
+                         final_ids.size() * sizeof(uint32_t));
     digest.injected = hook.injected_errors();
     digest.write_reduction = outcome->write_reduction;
     return digest;

@@ -25,6 +25,7 @@
 #include "approx/memory_backend.h"
 
 #include "common/flags.h"
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "common/table_printer.h"
 #include "core/engine.h"
@@ -113,27 +114,6 @@ std::string FmtKnob(double knob) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.4g", knob);
   return buffer;
-}
-
-StatusOr<sort::AlgorithmId> ParseAlgorithm(const std::string& name) {
-  using sort::AlgorithmId;
-  using sort::SortKind;
-  if (name == "quicksort") return AlgorithmId{SortKind::kQuicksort, 0};
-  if (name == "mergesort") return AlgorithmId{SortKind::kMergesort, 0};
-  if (name.size() >= 4) {
-    const int bits = name.back() - '0';
-    if (bits >= 1 && bits <= 9) {
-      if (name.rfind("lsd", 0) == 0) return AlgorithmId{SortKind::kLsdRadix, bits};
-      if (name.rfind("msd", 0) == 0) return AlgorithmId{SortKind::kMsdRadix, bits};
-      if (name.rfind("hlsd", 0) == 0) {
-        return AlgorithmId{SortKind::kLsdHistogram, bits};
-      }
-      if (name.rfind("hmsd", 0) == 0) {
-        return AlgorithmId{SortKind::kMsdHistogram, bits};
-      }
-    }
-  }
-  return Status::InvalidArgument("unknown algorithm: " + name);
 }
 
 int Calibrate(core::ApproxSortEngine& engine, const Flags& flags) {
@@ -337,7 +317,7 @@ testing::OracleReport RunResilientFuzzCase(
     bool inject) {
   testing::OracleReport report;
   report.oracle_case = oracle_case;
-  report.digest = testing::Fnv1a64(nullptr, 0);
+  report.digest = Fnv1a64(nullptr, 0);
 
   const double t = testing::TFromPaperLabel(oracle_case.paper_t);
   const std::vector<uint32_t> input =
@@ -386,17 +366,17 @@ testing::OracleReport RunResilientFuzzCase(
   report.ok = report.failures.empty();
   const uint64_t attempt_digest = result->AttemptDigest();
   report.digest =
-      testing::Fnv1a64(&attempt_digest, sizeof(attempt_digest),
-                       report.digest);
+      Fnv1a64(&attempt_digest, sizeof(attempt_digest),
+              report.digest);
   if (!final_keys.empty()) {
     report.digest =
-        testing::Fnv1a64(final_keys.data(),
-                         final_keys.size() * sizeof(uint32_t), report.digest);
+        Fnv1a64(final_keys.data(),
+                final_keys.size() * sizeof(uint32_t), report.digest);
   }
   if (!final_ids.empty()) {
     report.digest =
-        testing::Fnv1a64(final_ids.data(),
-                         final_ids.size() * sizeof(uint32_t), report.digest);
+        Fnv1a64(final_ids.data(),
+                final_ids.size() * sizeof(uint32_t), report.digest);
   }
   return report;
 }
@@ -942,7 +922,8 @@ int Main(int argc, char** argv) {
 
   if (cmd == "calibrate") return Calibrate(engine, *flags);
 
-  const auto algorithm = ParseAlgorithm(flags->GetString("algo", "lsd3"));
+  const auto algorithm =
+      sort::ParseAlgorithm(flags->GetString("algo", "lsd3"));
   if (!algorithm.ok()) {
     std::fprintf(stderr, "%s\n%s", algorithm.status().ToString().c_str(),
                  kUsage);

@@ -5,8 +5,8 @@ Usage: tools/check_docs.py [--cli build/tools/approxmem_cli] [--root .]
 
 Scans README.md, DESIGN.md, EXPERIMENTS.md, and TESTING.md for
 
-  * repo paths — `src/...`, `tests/...`, `tools/...`, `bench/...` tokens —
-    and fails if the path is not in the tree (so a refactor that moves a
+  * repo paths — `src/...`, `tests/...`, `tools/...`, `bench/...`,
+    `perfbench/...` tokens — and fails if the path is not in the tree (so a refactor that moves a
     file without updating its doc references breaks CI, not a reader), and
   * CLI flags — `--flag` tokens in approxmem_cli command lines — and fails
     if the flag is not in the CLI's --help text (the stale-flag sweep that
@@ -15,8 +15,8 @@ Scans README.md, DESIGN.md, EXPERIMENTS.md, and TESTING.md for
 Path tokens may carry a :line suffix or glob-ish tails ("src/sort/*"); the
 directory part is what must exist. Flags checked only in lines that invoke
 approxmem_cli, because bench binaries share the parser but add their own
-flags; bench-only flags are matched against a small allowlist harvested
-from bench/bench_common.h instead.
+flags; bench-only flags are matched against an allowlist harvested from
+the bench/*.cc sources (bench/bench_lib.cc parses the shared ones).
 
 Exit 0 when everything resolves; 1 with a per-reference report otherwise.
 """
@@ -33,7 +33,8 @@ DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md"]
 #: lookbehind keeps `build/tools/...` binary paths from matching as a
 #: `tools/...` source reference.
 PATH_RE = re.compile(
-    r"(?<!build/)\b((?:src|tests|tools|bench|scripts|\.github)/[\w./\-*]+)")
+    r"(?<!build/)\b((?:src|tests|tools|bench|perfbench|scripts|\.github)"
+    r"/[\w./\-*]+)")
 
 #: --flag tokens (value part ignored).
 FLAG_RE = re.compile(r"(--[a-z][a-z0-9_]*)")
@@ -46,7 +47,7 @@ def repo_paths(root):
     tracked = set()
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames
-                       if d not in {"build", ".git", "__pycache__"}]
+                       if d not in {"build", ".bench_build", ".git", "__pycache__"}]
         rel = os.path.relpath(dirpath, root)
         if rel != ".":
             tracked.add(rel)
@@ -70,10 +71,6 @@ def cli_flags(cli):
 def bench_flags(root):
     """Flags the bench harness adds on top of the CLI parser."""
     flags = set()
-    common = os.path.join(root, "bench", "bench_common.h")
-    if os.path.exists(common):
-        with open(common) as f:
-            flags.update(FLAG_RE.findall(f.read()))
     for name in os.listdir(os.path.join(root, "bench")):
         if name.endswith(".cc"):
             with open(os.path.join(root, "bench", name)) as f:
