@@ -92,6 +92,47 @@ void ApproxArrayU32::SetRangeImpl(size_t start, const uint32_t* values,
   }
 }
 
+void ApproxArrayU32::Shard::ScatterPaired(const size_t* dest,
+                                          const uint32_t* key_values,
+                                          Shard* ids,
+                                          const uint32_t* id_values,
+                                          size_t count) {
+  APPROXMEM_CHECK(count <= kScatterBlock && ids != this);
+  ApproxArrayU32& keys = *array_;
+  ApproxArrayU32* id_array = ids != nullptr ? ids->array_ : nullptr;
+  if (keys.address_sensitive_ ||
+      (id_array != nullptr && id_array->address_sensitive_)) {
+    // Banked models share device state across arrays: keep the
+    // per-element key, id interleaving at the model too.
+    for (size_t k = 0; k < count; ++k) {
+      Set(dest[k], key_values[k]);
+      if (ids != nullptr) ids->Set(dest[k], id_values[k]);
+    }
+    return;
+  }
+  for (size_t k = 0; k < count; ++k) {
+    APPROXMEM_CHECK(dest[k] < keys.size() &&
+                    (id_array == nullptr || dest[k] < id_array->size()));
+  }
+  // Each array draws from its own stream, so batching per array leaves
+  // every draw where the interleaved loop puts it; the outcomes are then
+  // applied in element order, key before id.
+  WordWriteOutcome key_outcomes[kScatterBlock];
+  WordWriteOutcome id_outcomes[kScatterBlock];
+  keys.model_->WriteBatch(key_values, count, rng_, key_outcomes);
+  if (ids != nullptr) {
+    id_array->model_->WriteBatch(id_values, count, ids->rng_, id_outcomes);
+  }
+  for (size_t k = 0; k < count; ++k) {
+    keys.ApplyWrite(dest[k], key_values[k], key_outcomes[k], stats_,
+                    last_written_);
+    if (ids != nullptr) {
+      id_array->ApplyWrite(dest[k], id_values[k], id_outcomes[k],
+                           ids->stats_, ids->last_written_);
+    }
+  }
+}
+
 std::vector<ApproxArrayU32::Shard> ApproxArrayU32::MakeShards(size_t count) {
   std::vector<Shard> shards;
   shards.reserve(count);

@@ -70,6 +70,9 @@ class ApproxArrayU32 {
     for (size_t k = 0; k < count; ++k) out[k] = GetImpl(start + k, stats_);
   }
 
+  /// Most elements one Shard::ScatterPaired call takes.
+  static constexpr size_t kScatterBlock = 64;
+
   /// A handle for driving a disjoint slice of this array's accesses with
   /// its own RNG substream, stats ledger, and sequential-write cursor.
   /// Created in batches by MakeShards (which fixes each shard's substream
@@ -77,8 +80,11 @@ class ApproxArrayU32 {
   /// run concurrently only when ConcurrentShardSafe() holds and no index is
   /// touched by two shards; otherwise drive them serially in shard order —
   /// either way the results depend only on the shard plan, never on the
-  /// thread count.
-  class Shard {
+  /// thread count. Each shard sits on cache lines of its own: the shards
+  /// of one plan live side by side in a vector, and every access updates
+  /// the shard's ledger, so shards sharing a line would bounce it between
+  /// the threads that drive them.
+  class alignas(64) Shard {
    public:
     uint32_t Get(size_t i) { return array_->GetImpl(i, stats_); }
     void Set(size_t i, uint32_t value) {
@@ -92,6 +98,16 @@ class ApproxArrayU32 {
         out[k] = array_->GetImpl(start + k, stats_);
       }
     }
+    /// Paired scattered write of at most kScatterBlock elements: writes
+    /// key_values[k] to element dest[k] of this shard's array and, when
+    /// `ids` is set, id_values[k] to element dest[k] of the ids shard's
+    /// array. Bit-identical to the loop
+    ///   for k: Set(dest[k], key_values[k]); ids->Set(dest[k], id_values[k]);
+    /// — stored values, ledgers, RNG states, and the order of fault-hook
+    /// calls and trace events — but each array's model runs one WriteBatch
+    /// over the block. Address-sensitive arrays run that loop as is.
+    void ScatterPaired(const size_t* dest, const uint32_t* key_values,
+                       Shard* ids, const uint32_t* id_values, size_t count);
     const MemoryStats& stats() const { return stats_; }
 
    private:

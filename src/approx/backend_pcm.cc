@@ -29,6 +29,13 @@ class PrecisePcmWriteModel final : public WriteModel {
   WordWriteOutcome Write(uint32_t intended, Rng& /*rng*/) override {
     return WordWriteOutcome{intended, write_latency_ns_, pv_per_word_};
   }
+  void WriteBatch(const uint32_t* intended, size_t count, Rng& /*rng*/,
+                  WordWriteOutcome* outcomes) override {
+    for (size_t i = 0; i < count; ++i) {
+      outcomes[i] = WordWriteOutcome{intended[i], write_latency_ns_,
+                                     pv_per_word_};
+    }
+  }
   double ReadCost() const override { return read_latency_ns_; }
   std::string_view CostUnit() const override { return "ns"; }
   bool IsPrecise() const override { return true; }
@@ -76,12 +83,15 @@ class ExactPcmWriteModel final : public WriteModel {
   double ns_per_iteration_;
 };
 
-/// Approximate PCM, fast path: calibrated per-level tables, batched.
+/// Approximate PCM, fast path: calibrated per-level tables.
 ///
-/// Write() is literally WriteBatch() over one word, so the scalar and
-/// batched paths cannot drift apart: clean-word costs come from the
-/// sampler's shared table kernel and error uniforms are drawn through the
-/// same block scan, whose draw sequence matches a per-word loop exactly.
+/// Write() is the one-word kernel: the sampler's table stats give the cost
+/// and #P, one uniform decides whether the word errs (drawn only when its
+/// error probability is positive), and a hit falls back to the per-cell
+/// conditional sampler. WriteBatch() does the same per word with the
+/// uniforms drawn by the block scan (FirstCorrupted), whose consumed draw
+/// sequence matches the per-word loop exactly — the scalar Set path and
+/// the batched SetRange/scatter paths share every expression.
 class FastPcmWriteModel final : public WriteModel {
  public:
   FastPcmWriteModel(const mlc::CellCalibration& calibration,
@@ -92,8 +102,16 @@ class FastPcmWriteModel final : public WriteModel {
         ns_per_iteration_(ns_per_iteration) {}
 
   WordWriteOutcome Write(uint32_t intended, Rng& rng) override {
+    const mlc::BatchErrorSampler::WordStats stats = sampler_.StatsFor(intended);
     WordWriteOutcome outcome;
-    WriteBatch(&intended, 1, rng, &outcome);
+    outcome.stored = intended;
+    outcome.cost = stats.pv_sum / config_.CellsPerWord() * ns_per_iteration_;
+    outcome.pv_iterations = stats.pv_sum;
+    const double word_error = 1.0 - stats.no_error;
+    if (word_error > 0.0 && rng.UniformDouble() < word_error) {
+      outcome.stored = SampleCorruptedWord(mlc::EncodeWord(intended, config_),
+                                           stats.no_error, rng);
+    }
     return outcome;
   }
 

@@ -1,11 +1,24 @@
 #include "mem/cache.h"
 
+#include <sys/mman.h>
+
+#include <new>
+#include <type_traits>
+#include <utility>
+
 #include "common/check.h"
 
 namespace approxmem::mem {
 namespace {
 
 bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
+
+uint32_t NumSets(const CacheConfig& config) {
+  APPROXMEM_CHECK_OK(config.Validate());
+  return static_cast<uint32_t>(
+      config.capacity_bytes /
+      (static_cast<uint64_t>(config.ways) * config.line_bytes));
+}
 
 }  // namespace
 
@@ -29,13 +42,32 @@ Status CacheConfig::Validate() const {
   return Status::Ok();
 }
 
-Cache::Cache(const CacheConfig& config) : config_(config) {
-  APPROXMEM_CHECK_OK(config.Validate());
-  num_sets_ = static_cast<uint32_t>(
-      config.capacity_bytes /
-      (static_cast<uint64_t>(config.ways) * config.line_bytes));
-  lines_.assign(static_cast<size_t>(num_sets_) * config.ways, Line{});
+Cache::LineTable::LineTable(size_t count) : count_(count) {
+  static_assert(std::is_trivially_copyable_v<Line>);
+  void* pages = mmap(nullptr, count * sizeof(Line), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  lines_ = static_cast<Line*>(pages);
 }
+
+Cache::LineTable::LineTable(LineTable&& other) noexcept
+    : lines_(std::exchange(other.lines_, nullptr)),
+      count_(std::exchange(other.count_, 0)) {}
+
+Cache::LineTable& Cache::LineTable::operator=(LineTable&& other) noexcept {
+  std::swap(lines_, other.lines_);
+  std::swap(count_, other.count_);
+  return *this;
+}
+
+Cache::LineTable::~LineTable() {
+  if (lines_ != nullptr) munmap(lines_, count_ * sizeof(Line));
+}
+
+Cache::Cache(const CacheConfig& config)
+    : config_(config),
+      num_sets_(NumSets(config)),
+      lines_(static_cast<size_t>(num_sets_) * config.ways) {}
 
 int Cache::FindWay(uint32_t set, uint64_t tag) const {
   const Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
@@ -103,7 +135,7 @@ void Cache::ResetStats() {
 }
 
 void Cache::Flush() {
-  for (auto& line : lines_) line = Line{};
+  for (size_t i = 0; i < lines_.size(); ++i) lines_[i] = Line{};
 }
 
 CacheHierarchy CacheHierarchy::PaperDefault() {

@@ -5,8 +5,8 @@
 #ifndef APPROXMEM_MEM_CACHE_H_
 #define APPROXMEM_MEM_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/status.h"
 
@@ -48,6 +48,28 @@ class Cache {
     bool valid = false;
   };
 
+  /// Line storage mapped straight from the OS, not the heap: its zero
+  /// pages (all-zero bytes are Line{}) become resident only as sets are
+  /// first touched, and go back on destruction. A Table 1 L3 holds 12 MiB
+  /// of lines; from the heap it would be zero-filled up front and, once
+  /// the allocator's mmap threshold had risen past that size, carved from
+  /// whichever thread's arena asked, so resident memory varied by run.
+  class LineTable {
+   public:
+    explicit LineTable(size_t count);
+    LineTable(LineTable&& other) noexcept;
+    LineTable& operator=(LineTable&& other) noexcept;
+    ~LineTable();
+
+    Line& operator[](size_t i) { return lines_[i]; }
+    const Line& operator[](size_t i) const { return lines_[i]; }
+    size_t size() const { return count_; }
+
+   private:
+    Line* lines_ = nullptr;
+    size_t count_ = 0;
+  };
+
   // Returns the way index of `tag` in `set`, or -1.
   int FindWay(uint32_t set, uint64_t tag) const;
   void Touch(uint32_t set, int way);
@@ -55,7 +77,7 @@ class Cache {
 
   CacheConfig config_;
   uint32_t num_sets_;
-  std::vector<Line> lines_;  // num_sets_ * ways, row-major by set.
+  LineTable lines_;  // num_sets_ * ways, row-major by set.
   uint64_t clock_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -138,13 +138,16 @@ Status LsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
     // Count + stash: one read per array element; the digit used below is
     // fixed by this read, so the scatter cannot diverge from the counts.
     RunStripes(pool, concurrent, num_stripes, [&](size_t s) {
-      size_t* h = hist.data() + s * buckets;
+      // Counted in a row of the stripe's own: neighbouring stripes' rows
+      // of `hist` share cache lines.
+      std::vector<size_t> h(buckets);
       for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end; ++i) {
         const uint32_t key = src_key_shards[s].Get(i);
         stash_keys[i] = key;
         if (with_ids) stash_ids[i] = src_id_shards[s].Get(i);
         ++h[(key >> shift) & plan.mask];
       }
+      std::copy(h.begin(), h.end(), hist.begin() + s * buckets);
     });
 
     // Bucket-major prefix sum into disjoint per-(bucket, stripe) windows.
@@ -163,12 +166,13 @@ Status LsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
       for (uint32_t b = 0; b < buckets; ++b) {
         cursors[b] = window[b * num_stripes + s];
       }
+      ScatterBuffer out(&dst_key_shards[s],
+                        with_ids ? &dst_id_shards[s] : nullptr);
       for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end; ++i) {
         const uint32_t digit = (stash_keys[i] >> shift) & plan.mask;
-        const size_t pos = cursors[digit]++;
-        dst_key_shards[s].Set(pos, stash_keys[i]);
-        if (with_ids) dst_id_shards[s].Set(pos, stash_ids[i]);
+        out.Push(cursors[digit]++, stash_keys[i], with_ids ? stash_ids[i] : 0);
       }
+      out.Flush();
     });
 
     src.keys->MergeShards(src_key_shards);

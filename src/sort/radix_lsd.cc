@@ -15,21 +15,25 @@ namespace {
 using approx::ApproxArrayU32;
 
 /// Per-stripe scatter frontend: routes (key, id) pairs into the stripe's
-/// per-bucket windows of the destination arrays, either word-at-a-time or
-/// through per-bucket DRAM staging rows flushed as sequential SetRange
-/// bursts (Section 3.1's software write combining). Staging rows are queue
-/// metadata in DRAM, not simulated accesses; only flushes touch the
-/// instrumented arrays.
+/// per-bucket windows of the destination arrays, either word-at-a-time
+/// (through a ScatterBuffer, so the write models run in blocks) or through
+/// per-bucket DRAM staging rows flushed as sequential SetRange bursts
+/// (Section 3.1's software write combining). Staging rows and the scatter
+/// buffer are queue metadata in DRAM, not simulated accesses; only flushes
+/// touch the instrumented arrays.
 class WindowScatter {
  public:
   /// `windows[b]` is the first slot of this stripe's window for bucket b.
-  /// `chunk == 0` disables write combining.
+  /// `chunk == 0` disables write combining; word-at-a-time writes then go
+  /// out in blocks of at most `block` elements.
   WindowScatter(ApproxArrayU32::Shard* keys, ApproxArrayU32::Shard* ids,
-                const size_t* windows, uint32_t buckets, size_t chunk)
+                const size_t* windows, uint32_t buckets, size_t chunk,
+                size_t block)
       : keys_(keys),
         ids_(ids),
         cursor_(windows, windows + buckets),
-        chunk_(chunk) {
+        chunk_(chunk),
+        words_(keys, ids, block) {
     if (chunk_ > 0) {
       staged_keys_.resize(buckets);
       for (auto& row : staged_keys_) row.reserve(chunk_);
@@ -42,9 +46,7 @@ class WindowScatter {
 
   void Emit(uint32_t bucket, uint32_t key, uint32_t id) {
     if (chunk_ == 0) {
-      keys_->Set(cursor_[bucket], key);
-      if (ids_ != nullptr) ids_->Set(cursor_[bucket], id);
-      ++cursor_[bucket];
+      words_.Push(cursor_[bucket]++, key, id);
       return;
     }
     staged_keys_[bucket].push_back(key);
@@ -52,9 +54,12 @@ class WindowScatter {
     if (staged_keys_[bucket].size() == chunk_) Flush(bucket);
   }
 
-  /// Flushes every staged row, in bucket order.
+  /// Writes out everything still buffered (staged rows in bucket order).
   void FlushAll() {
-    if (chunk_ == 0) return;
+    if (chunk_ == 0) {
+      words_.Flush();
+      return;
+    }
     for (size_t b = 0; b < cursor_.size(); ++b) Flush(b);
   }
 
@@ -75,6 +80,7 @@ class WindowScatter {
   ApproxArrayU32::Shard* ids_;
   std::vector<size_t> cursor_;
   size_t chunk_;
+  ScatterBuffer words_;
   std::vector<std::vector<uint32_t>> staged_keys_;
   std::vector<std::vector<uint32_t>> staged_ids_;
 };
@@ -151,13 +157,16 @@ Status LsdRadixSort(SortSpec& spec, const LsdRadixOptions& options) {
     // computed from the (possibly corrupted) stored key, as in the queue
     // formulation.
     RunStripes(pool, concurrent, num_stripes, [&](size_t s) {
-      size_t* h = hist.data() + s * buckets;
+      // Counted in a row of the stripe's own: neighbouring stripes' rows
+      // of `hist` share cache lines.
+      std::vector<size_t> h(buckets);
       for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end; ++i) {
         const uint32_t key = keys_shards[s].Get(i);
         stash_keys[i] = key;
         if (with_ids) stash_ids[i] = ids_shards[s].Get(i);
         ++h[plan.DigitLsd(key, pass)];
       }
+      std::copy(h.begin(), h.end(), hist.begin() + s * buckets);
     });
 
     // Phase B: serial prefix sum into per-(bucket, stripe) windows laid
@@ -181,7 +190,8 @@ Status LsdRadixSort(SortSpec& spec, const LsdRadixOptions& options) {
         }
         WindowScatter scatter(&arena_key_shards[s],
                               with_ids ? &arena_id_shards[s] : nullptr,
-                              cursors.data(), buckets, chunk);
+                              cursors.data(), buckets, chunk,
+                              ApproxArrayU32::kScatterBlock);
         for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end;
              ++i) {
           scatter.Emit(plan.DigitLsd(stash_keys[i], pass), stash_keys[i],
@@ -212,7 +222,9 @@ Status LsdRadixSort(SortSpec& spec, const LsdRadixOptions& options) {
       // Phases C+D fused: each stripe pushes sqrt-sized chunks through its
       // recycled arena region (one sequential burst in, one read back per
       // element) and emits straight into the destination windows. Same
-      // access counts as the full-buffer path.
+      // access counts as the full-buffer path. Arena reads sit between the
+      // emits, so each emit is written at once (blocks of one) to keep the
+      // read/write order a hook or trace sees.
       RunStripes(pool, concurrent, num_stripes, [&](size_t s) {
         std::vector<size_t> cursors(buckets);
         for (uint32_t b = 0; b < buckets; ++b) {
@@ -220,7 +232,7 @@ Status LsdRadixSort(SortSpec& spec, const LsdRadixOptions& options) {
         }
         WindowScatter scatter(&keys_shards[s],
                               with_ids ? &ids_shards[s] : nullptr,
-                              cursors.data(), buckets, chunk);
+                              cursors.data(), buckets, chunk, /*block=*/1);
         const size_t base = arena_base[s];
         const size_t cap = arena_base[s + 1] - base;
         for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end;) {

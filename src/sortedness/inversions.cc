@@ -33,11 +33,14 @@ uint64_t InversionCount(const std::vector<uint32_t>& values) {
 }
 
 double InversionRatio(const std::vector<uint32_t>& values) {
-  const size_t n = values.size();
+  return InversionRatio(InversionCount(values), values.size());
+}
+
+double InversionRatio(uint64_t inversions, size_t n) {
   if (n < 2) return 0.0;
   const double max_pairs =
       static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
-  return static_cast<double>(InversionCount(values)) / max_pairs;
+  return static_cast<double>(inversions) / max_pairs;
 }
 
 }  // namespace approxmem::sortedness

@@ -18,6 +18,10 @@ uint64_t InversionCount(const std::vector<uint32_t>& values);
 /// 1 = reverse sorted). 0 for n < 2.
 double InversionRatio(const std::vector<uint32_t>& values);
 
+/// The same normalization for an already counted `inversions` over `n`
+/// values, so a caller holding the count need not merge-sort again.
+double InversionRatio(uint64_t inversions, size_t n);
+
 }  // namespace approxmem::sortedness
 
 #endif  // APPROXMEM_SORTEDNESS_INVERSIONS_H_

@@ -24,7 +24,7 @@ SortednessReport MeasureValues(const std::vector<uint32_t>& values,
           : static_cast<double>(report.rem) / static_cast<double>(report.n);
   report.error_rate = error_rate;
   report.inversions = InversionCount(values);
-  report.inversion_ratio = InversionRatio(values);
+  report.inversion_ratio = InversionRatio(report.inversions, report.n);
   report.sorted = report.rem == 0;
   return report;
 }

@@ -1,21 +1,29 @@
 // Bit parity of the batched hot-loop kernels against their scalar
 // counterparts: the span word codec, the calibrated batch error sampler's
-// block-uniform first-error scan, and WriteModel::WriteBatch on the fast
-// PCM and spintronic models. The batched paths exist purely for speed —
-// every observable (outcomes, costs, RNG stream position) must be
-// bit-identical to the per-word loops they replace.
+// block-uniform first-error scan, WriteModel::WriteBatch on every model
+// the backends hand out for flat-cost arrays, and the paired block scatter
+// the radix sorts write through. The batched paths exist purely for speed —
+// every observable (outcomes, costs, RNG stream position, fault-hook and
+// trace order) must be bit-identical to the per-word loops they replace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "approx/approx_array.h"
+#include "approx/approx_memory.h"
 #include "approx/memory_backend.h"
 #include "approx/write_model.h"
 #include "common/random.h"
+#include "mem/trace.h"
 #include "mlc/calibration.h"
 #include "mlc/mlc_config.h"
 #include "mlc/word_codec.h"
+#include "testing/fault_injection.h"
 
 namespace approxmem {
 namespace {
@@ -129,48 +137,261 @@ TEST(BatchErrorSamplerTest, FirstCorruptedMatchesScalarDrawSequence) {
   }
 }
 
-void ExpectWriteBatchParity(const std::string& backend_name, double knob) {
-  approx::BackendContext context;
-  context.calibration_trials = 5000;
-  auto backend = approx::CreateMemoryBackend(backend_name, context);
-  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  // 64-word blocks internally; the odd count exercises the partial tail.
-  const size_t count = 2048 + 17;
-  auto model = (*backend)->ModelFor(approx::AllocSpec::Approx(knob, count));
+// WriteBatch over a block vs Write per word on the same stream: outcomes
+// and the stream position afterwards must match bit for bit. `corrupted`
+// receives how many words the model corrupted.
+void ExpectWriteBatchParity(approx::MemoryBackend& backend,
+                            const approx::AllocSpec& spec,
+                            uint64_t* corrupted) {
+  auto model = backend.ModelFor(spec);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
 
-  const std::vector<uint32_t> words = RandomWords(count, 0xba7c4);
+  const std::vector<uint32_t> words = RandomWords(spec.n, 0xba7c4);
   const uint64_t seed = 31337;
   Rng batched_rng(seed);
   Rng scalar_rng(seed);
-  std::vector<approx::WordWriteOutcome> batched(count);
-  std::vector<approx::WordWriteOutcome> scalar(count);
-  (*model)->WriteBatch(words.data(), count, batched_rng, batched.data());
-  for (size_t i = 0; i < count; ++i) {
+  std::vector<approx::WordWriteOutcome> batched(spec.n);
+  std::vector<approx::WordWriteOutcome> scalar(spec.n);
+  (*model)->WriteBatch(words.data(), spec.n, batched_rng, batched.data());
+  for (size_t i = 0; i < spec.n; ++i) {
     scalar[i] = (*model)->Write(words[i], scalar_rng);
   }
 
-  uint64_t corrupted = 0;
-  for (size_t i = 0; i < count; ++i) {
+  *corrupted = 0;
+  for (size_t i = 0; i < spec.n; ++i) {
     ASSERT_EQ(batched[i].stored, scalar[i].stored) << "word " << i;
     ASSERT_EQ(batched[i].cost, scalar[i].cost) << "word " << i;
     ASSERT_EQ(batched[i].pv_iterations, scalar[i].pv_iterations)
         << "word " << i;
-    if (batched[i].stored != words[i]) ++corrupted;
+    if (batched[i].stored != words[i]) ++*corrupted;
   }
-  // The operating point is hot enough that the parity is not vacuous.
-  EXPECT_GT(corrupted, 0u) << backend_name;
   for (int k = 0; k < 4; ++k) {
     ASSERT_EQ(batched_rng.Next64(), scalar_rng.Next64());
   }
 }
 
+// 64-word blocks internally; the odd count exercises the partial tail.
+constexpr size_t kParityWords = 2048 + 17;
+
+std::unique_ptr<approx::MemoryBackend> MakeBackend(
+    std::string_view name, approx::BackendContext context = {}) {
+  context.calibration_trials = 5000;
+  auto backend = approx::CreateMemoryBackend(std::string(name), context);
+  EXPECT_TRUE(backend.ok()) << backend.status().ToString();
+  return backend.ok() ? std::move(*backend) : nullptr;
+}
+
 TEST(WriteModelBatchTest, FastPcmWriteBatchMatchesScalarWrites) {
-  ExpectWriteBatchParity(std::string(approx::kPcmBackendName), 0.08);
+  auto backend = MakeBackend(approx::kPcmBackendName);
+  ASSERT_NE(backend, nullptr);
+  uint64_t corrupted = 0;
+  ExpectWriteBatchParity(
+      *backend, approx::AllocSpec::Approx(0.08, kParityWords), &corrupted);
+  // A hot operating point, so the parity is not vacuous.
+  EXPECT_GT(corrupted, 0u);
+}
+
+TEST(WriteModelBatchTest, FastPcmParityHoldsWhereWordsDrawNothing) {
+  // A word whose cells all sit on never-erring calibrated levels has error
+  // probability 0 and draws no uniform at all; the batched scan and the
+  // one-word kernel must skip exactly the same words. At the precise floor
+  // T every level is clean; at T = 0.085 only the top level is, so clean
+  // and drawing words mix (the test words include 0xffffffff).
+  approx::BackendContext context;
+  context.calibration = std::make_shared<mlc::CalibrationCache>(
+      context.mlc.WithT(context.mlc.precise_t_width), 5000,
+      context.calibration_seed);
+  auto backend = MakeBackend(approx::kPcmBackendName, context);
+  ASSERT_NE(backend, nullptr);
+  const std::vector<uint32_t> words = RandomWords(kParityWords, 0xba7c4);
+  for (const double t : {context.mlc.precise_t_width, 0.085}) {
+    SCOPED_TRACE(t);
+    const mlc::BatchErrorSampler sampler(context.calibration->ForT(t));
+    size_t silent = 0;
+    for (const uint32_t word : words) {
+      if (sampler.StatsFor(word).no_error >= 1.0) ++silent;
+    }
+    EXPECT_GT(silent, 0u);
+    uint64_t corrupted = 0;
+    ExpectWriteBatchParity(
+        *backend, approx::AllocSpec::Approx(t, kParityWords), &corrupted);
+    if (t == 0.085) {
+      EXPECT_LT(silent, words.size());
+      EXPECT_GT(corrupted, 0u);
+    }
+  }
 }
 
 TEST(WriteModelBatchTest, SpintronicWriteBatchMatchesScalarWrites) {
-  ExpectWriteBatchParity(std::string(approx::kSpintronicBackendName), 1e-4);
+  auto backend = MakeBackend(approx::kSpintronicBackendName);
+  ASSERT_NE(backend, nullptr);
+  uint64_t corrupted = 0;
+  ExpectWriteBatchParity(
+      *backend, approx::AllocSpec::Approx(1e-4, kParityWords), &corrupted);
+  EXPECT_GT(corrupted, 0u);
+}
+
+TEST(WriteModelBatchTest, PreciseModelsWriteBatchMatchesScalarWrites) {
+  for (const std::string_view name :
+       {approx::kPcmBackendName, approx::kSpintronicBackendName,
+        approx::kDramPreciseBackendName}) {
+    SCOPED_TRACE(std::string(name));
+    auto backend = MakeBackend(name);
+    ASSERT_NE(backend, nullptr);
+    uint64_t corrupted = 0;
+    ExpectWriteBatchParity(*backend, approx::AllocSpec::Precise(kParityWords),
+                           &corrupted);
+    EXPECT_EQ(corrupted, 0u);
+  }
+}
+
+// Scattered elements per run; the probe runs are stored after them.
+constexpr size_t kScatterElems = 4096;
+
+// Everything a paired scatter can touch, captured after the fact.
+struct ScatterRun {
+  std::vector<uint32_t> key_actual, key_intended, id_actual, id_intended;
+  std::vector<approx::MemoryStats> stats;
+  std::vector<mem::MemEvent> trace;
+  uint64_t injected_write_faults = 0;
+};
+
+// An LSD-like scatter of random keys (with ids) from two stripes into
+// per-(bucket, stripe) windows, so destinations mix sequential runs and
+// jumps. `batched` drives Shard::ScatterPaired in blocks of varying size;
+// otherwise the per-element interleaved Set loop it replaces. Each shard
+// then writes a probe run past the scattered region, so the stored probe
+// words show where the shard's stream stood after the scatter.
+ScatterRun RunStripedScatter(std::string_view backend, bool batched) {
+  testing::FaultInjector injector(testing::FaultPlan::ApproxStorm(9));
+  mem::TraceBuffer trace;
+  approx::ApproxMemory::Options options;
+  options.backend = std::string(backend);
+  options.calibration_trials = 5000;
+  options.seed = 5;
+  options.sequential_write_discount = 0.5;
+  options.trace = &trace;
+  options.fault_hook = &injector;
+  approx::ApproxMemory memory(options);
+
+  constexpr size_t kN = kScatterElems;
+  constexpr size_t kStripes = 2;
+  constexpr uint32_t kBuckets = 8;
+  constexpr size_t kProbe = 256;
+  approx::ApproxArrayU32 keys =
+      memory.NewApproxArray(kN + kStripes * kProbe, 0.085);
+  approx::ApproxArrayU32 ids = memory.NewPreciseArray(kN + kStripes * kProbe);
+  const std::vector<uint32_t> values = RandomWords(kN, 0x5ca77e2);
+
+  std::vector<size_t> dest(kN);
+  std::vector<size_t> count(kStripes * kBuckets, 0);
+  for (size_t i = 0; i < kN; ++i) {
+    ++count[(i * kStripes / kN) * kBuckets + (values[i] & (kBuckets - 1))];
+  }
+  std::vector<size_t> cursor(kStripes * kBuckets);
+  size_t total = 0;
+  for (uint32_t b = 0; b < kBuckets; ++b) {
+    for (size_t s = 0; s < kStripes; ++s) {
+      cursor[s * kBuckets + b] = total;
+      total += count[s * kBuckets + b];
+    }
+  }
+  for (size_t i = 0; i < kN; ++i) {
+    dest[i] = cursor[(i * kStripes / kN) * kBuckets +
+                     (values[i] & (kBuckets - 1))]++;
+  }
+
+  auto key_shards = keys.MakeShards(kStripes);
+  auto id_shards = ids.MakeShards(kStripes);
+  std::vector<uint32_t> id_values(kN);
+  for (size_t i = 0; i < kN; ++i) id_values[i] = static_cast<uint32_t>(i);
+  Rng block_sizes(17);
+  for (size_t s = 0; s < kStripes; ++s) {
+    const size_t begin = s * kN / kStripes;
+    const size_t end = (s + 1) * kN / kStripes;
+    for (size_t i = begin; i < end;) {
+      const size_t m = std::min<size_t>(
+          end - i, 1 + block_sizes.UniformInt(
+                           approx::ApproxArrayU32::kScatterBlock));
+      if (batched) {
+        key_shards[s].ScatterPaired(&dest[i], &values[i], &id_shards[s],
+                                    &id_values[i], m);
+      } else {
+        for (size_t k = i; k < i + m; ++k) {
+          key_shards[s].Set(dest[k], values[k]);
+          id_shards[s].Set(dest[k], id_values[k]);
+        }
+      }
+      i += m;
+    }
+    for (size_t k = 0; k < kProbe; ++k) {
+      key_shards[s].Set(kN + s * kProbe + k, values[k]);
+      id_shards[s].Set(kN + s * kProbe + k, values[k]);
+    }
+  }
+
+  ScatterRun run;
+  for (size_t s = 0; s < kStripes; ++s) {
+    run.stats.push_back(key_shards[s].stats());
+    run.stats.push_back(id_shards[s].stats());
+  }
+  keys.MergeShards(key_shards);
+  ids.MergeShards(id_shards);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    run.key_actual.push_back(keys.PeekActual(i));
+    run.key_intended.push_back(keys.PeekIntended(i));
+    run.id_actual.push_back(ids.PeekActual(i));
+    run.id_intended.push_back(ids.PeekIntended(i));
+  }
+  run.trace = trace.events();
+  run.injected_write_faults = injector.injected_write_faults();
+  return run;
+}
+
+TEST(ScatterPairedTest, MatchesInterleavedSetLoop) {
+  // On the banked model, address-sensitive arrays share the device's queue
+  // state, so the paired scatter keeps the key, id interleaving at the
+  // model as well.
+  for (std::string_view backend :
+       {approx::kPcmBackendName, approx::kBankedPcmBackendName}) {
+    SCOPED_TRACE(std::string(backend));
+    const ScatterRun batched = RunStripedScatter(backend, true);
+    const ScatterRun loop = RunStripedScatter(backend, false);
+    EXPECT_EQ(batched.key_actual, loop.key_actual);
+    EXPECT_EQ(batched.key_intended, loop.key_intended);
+    EXPECT_EQ(batched.id_actual, loop.id_actual);
+    EXPECT_EQ(batched.id_intended, loop.id_intended);
+    ASSERT_EQ(batched.stats.size(), loop.stats.size());
+    for (size_t k = 0; k < loop.stats.size(); ++k) {
+      SCOPED_TRACE("ledger " + std::to_string(k));
+      const approx::MemoryStats& a = batched.stats[k];
+      const approx::MemoryStats& b = loop.stats[k];
+      EXPECT_EQ(a.word_reads, b.word_reads);
+      EXPECT_EQ(a.word_writes, b.word_writes);
+      EXPECT_EQ(a.write_cost, b.write_cost);
+      EXPECT_EQ(a.read_cost, b.read_cost);
+      EXPECT_EQ(a.corrupted_writes, b.corrupted_writes);
+      EXPECT_EQ(a.sequential_writes, b.sequential_writes);
+      EXPECT_EQ(a.pv_iterations, b.pv_iterations);
+    }
+    ASSERT_EQ(batched.trace.size(), loop.trace.size());
+    for (size_t e = 0; e < loop.trace.size(); ++e) {
+      ASSERT_EQ(batched.trace[e].address, loop.trace[e].address) << e;
+      ASSERT_EQ(batched.trace[e].kind, loop.trace[e].kind) << e;
+    }
+    EXPECT_EQ(batched.injected_write_faults, loop.injected_write_faults);
+    // Not vacuous: the model and the hook both corrupted words, the
+    // windows produced sequential runs for the discount, and the probe
+    // runs (which read the streams' positions) hold corrupted words.
+    EXPECT_GT(loop.injected_write_faults, 0u);
+    EXPECT_GT(loop.stats[0].corrupted_writes, 0u);
+    EXPECT_GT(loop.stats[0].sequential_writes, 0u);
+    size_t probe_corrupted = 0;
+    for (size_t i = kScatterElems; i < loop.key_actual.size(); ++i) {
+      probe_corrupted += loop.key_actual[i] != loop.key_intended[i];
+    }
+    EXPECT_GT(probe_corrupted, 0u);
+  }
 }
 
 }  // namespace

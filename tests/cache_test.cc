@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace approxmem::mem {
 namespace {
 
@@ -80,6 +82,19 @@ TEST(CacheTest, ResetStatsKeepsContents) {
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
   EXPECT_TRUE(cache.AccessRead(0));  // Line still resident.
+}
+
+TEST(CacheTest, MoveCarriesLines) {
+  // The line table is mapped memory owned by one Cache at a time.
+  Cache cache(SmallCache());
+  EXPECT_FALSE(cache.AccessRead(0x0));
+  Cache moved(std::move(cache));
+  EXPECT_TRUE(moved.AccessRead(0x0));
+  Cache assigned(SmallCache());
+  EXPECT_FALSE(assigned.AccessRead(0x40));
+  assigned = std::move(moved);
+  EXPECT_TRUE(assigned.AccessRead(0x0));
+  EXPECT_FALSE(assigned.AccessRead(0x40));
 }
 
 TEST(CacheHierarchyTest, PaperDefaultGeometry) {

@@ -76,6 +76,21 @@ TEST(MeasuresTest, ReportConsistency) {
   EXPECT_EQ(sorted_report.inversions, 0u);
 }
 
+TEST(MeasuresTest, ReportRatioEqualsStandaloneInversionRatioExactly) {
+  // Measure counts inversions once and derives the ratio from that count;
+  // the result must be the same double the standalone call computes.
+  Rng rng(11);
+  for (const size_t n : {0u, 1u, 2u, 7u, 1000u, 4097u}) {
+    std::vector<uint32_t> values(n);
+    for (auto& v : values) v = static_cast<uint32_t>(rng.UniformInt(64));
+    const SortednessReport report = Measure(values);
+    EXPECT_EQ(report.inversion_ratio, InversionRatio(values)) << "n=" << n;
+    EXPECT_EQ(report.inversion_ratio,
+              InversionRatio(report.inversions, report.n))
+        << "n=" << n;
+  }
+}
+
 TEST(MeasuresTest, ReportFromArrayIncludesErrorRate) {
   approx::ApproxMemory::Options options;
   options.calibration_trials = 20000;

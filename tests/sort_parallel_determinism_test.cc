@@ -9,10 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/workload.h"
+#include "mem/trace.h"
 #include "sort/sort_common.h"
+#include "testing/fault_injection.h"
 
 namespace approxmem {
 namespace {
@@ -137,6 +140,104 @@ TEST(SortThreadsDeterminismTest, SqrtArenaStillSortsButChangesTraffic) {
   EXPECT_EQ(full.keys, sqrt.keys);
   EXPECT_EQ(full.ids.size(), sqrt.ids.size());
   EXPECT_EQ(full.approx_writes, sqrt.approx_writes);
+}
+
+uint64_t DigestStats(uint64_t hash, const approx::MemoryStats& stats) {
+  const double doubles[] = {stats.write_cost, stats.read_cost,
+                            stats.pv_iterations};
+  hash = Fnv1a64(doubles, sizeof(doubles), hash);
+  for (const uint64_t counter :
+       {stats.word_reads, stats.word_writes, stats.corrupted_writes,
+        stats.sequential_writes, stats.degraded_regions}) {
+    hash = Fnv1a64Word(hash, counter);
+  }
+  return hash;
+}
+
+// One approx-refine run with IDs, digested over everything a fault hook
+// and a trace can observe: outputs, every ledger, the injector's
+// decisions, and the ordered trace. `hooked` attaches an approx-domain
+// fault storm and a trace sink (both empty otherwise).
+uint64_t PinnedRunDigest(const sort::AlgorithmId& algorithm, int sort_threads,
+                         bool sqrt_arena, bool hooked) {
+  testing::FaultInjector injector(testing::FaultPlan::ApproxStorm(0x5eed));
+  mem::TraceBuffer trace;
+  core::EngineOptions options;
+  options.seed = 77;
+  options.calibration_trials = 5000;
+  options.sort_threads = sort_threads;
+  options.lsd_sqrt_arena = sqrt_arena;
+  if (hooked) {
+    options.fault_hook = &injector;
+    options.trace = &trace;
+  }
+  core::ApproxSortEngine engine(options);
+  const auto input = core::MakeKeys(core::WorkloadKind::kUniform, kN, 7);
+  std::vector<uint32_t> keys;
+  std::vector<uint32_t> ids;
+  const auto outcome =
+      engine.SortApproxRefine(input, algorithm, 0.07, &keys, &ids);
+  EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+  if (!outcome.ok()) return 0;
+  EXPECT_TRUE(outcome->refine.verified());
+  if (hooked) {
+    EXPECT_GT(injector.injected_write_faults(), 0u);
+  }
+
+  const refine::RefineReport& r = outcome->refine;
+  uint64_t hash = Fnv1a64(keys.data(), keys.size() * sizeof(keys[0]));
+  hash = Fnv1a64(ids.data(), ids.size() * sizeof(ids[0]), hash);
+  for (const approx::MemoryStats* stats :
+       {&r.prep_approx, &r.prep_precise, &r.sort_approx, &r.sort_precise,
+        &r.refine_precise}) {
+    hash = DigestStats(hash, *stats);
+  }
+  hash = Fnv1a64Word(hash, r.rem_estimate);
+  for (const uint64_t counter :
+       {injector.writes_seen(), injector.reads_seen(),
+        injector.injected_write_faults(), injector.injected_read_faults()}) {
+    hash = Fnv1a64Word(hash, counter);
+  }
+  for (const mem::MemEvent& event : trace.events()) {
+    hash = Fnv1a64Word(hash, event.address);
+    hash = Fnv1a64Word(hash, static_cast<uint64_t>(event.kind));
+  }
+  return hash;
+}
+
+// The digests were captured from the per-element key, id, key, id Set
+// scatter. Hooked and traced arrays are not shard-safe, so their striped
+// passes run serially and the block scatter must hand the hook and the
+// trace every write in that loop's order; unhooked runs go concurrent at
+// four threads. Any reordering of draws, hook calls or trace events moves
+// a digest.
+TEST(StripedSortPinTest, DigestsMatchThePerElementScatter) {
+  const sort::AlgorithmId lsd3{sort::SortKind::kLsdRadix, 3};
+  const sort::AlgorithmId hlsd3{sort::SortKind::kLsdHistogram, 3};
+  const struct {
+    sort::AlgorithmId algorithm;
+    bool sqrt_arena;
+    bool hooked;
+    uint64_t digest;
+  } pins[] = {
+      {lsd3, false, true, 0xf2ba430f5b54884dULL},
+      {hlsd3, false, true, 0x6aafa85a7aaa00e9ULL},
+      {lsd3, true, true, 0xce756c1169a73d7aULL},
+      {lsd3, false, false, 0x3875dfc4e694ccecULL},
+      {hlsd3, false, false, 0xc51379a9a5ab8bc2ULL},
+      {lsd3, true, false, 0xe2a2dc0a5130698fULL},
+  };
+  for (const auto& pin : pins) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(pin.algorithm.Name() +
+                   (pin.sqrt_arena ? " sqrt" : " full") +
+                   (pin.hooked ? " hooked" : "") +
+                   " sort_threads=" + std::to_string(threads));
+      const uint64_t digest =
+          PinnedRunDigest(pin.algorithm, threads, pin.sqrt_arena, pin.hooked);
+      EXPECT_EQ(digest, pin.digest);
+    }
+  }
 }
 
 }  // namespace
