@@ -71,7 +71,6 @@ core::EngineOptions CellOptions(const BenchEnv& env, uint64_t seed) {
   options.shared_calibration = runtime.calibration;
   options.sort_threads = env.sort_threads;
   options.sort_pool = runtime.sort_pool.get();
-  options.lsd_sqrt_arena = env.lsd_sqrt_arena;
   return options;
 }
 

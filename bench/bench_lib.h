@@ -14,7 +14,6 @@
 //                    CSV artifacts are byte-identical for every k. Inside
 //                    sweep worker threads the striped passes run inline, so
 //                    --threads and --sort_threads never oversubscribe.
-//   --lsd_sqrt_arena    use the Radsort-style O(sqrt n) LSD scratch arena.
 //   --calibration_cache=<path>  load cached per-T calibrations from <path>
 //                    before the run and save the (possibly grown) cache
 //                    back afterwards, so repeated figure runs skip the
@@ -51,7 +50,6 @@ struct BenchEnv {
   bool full = false;
   int threads = 0;       // 0 = hardware concurrency.
   int sort_threads = 1;  // Intra-sort workers; <= 0 = hardware concurrency.
-  bool lsd_sqrt_arena = false;
   std::string csv_dir = "bench_artifacts";
   std::string calibration_cache;  // Empty = no persistence.
   std::string backend = std::string(approx::kPcmBackendName);
@@ -78,7 +76,6 @@ inline BenchEnv ParseBenchEnv(
   env.seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   env.threads = static_cast<int>(flags->GetInt("threads", 0));
   env.sort_threads = static_cast<int>(flags->GetInt("sort_threads", 1));
-  env.lsd_sqrt_arena = flags->GetBool("lsd_sqrt_arena", false);
   env.csv_dir = flags->GetString("csv_dir", "bench_artifacts");
   env.calibration_cache = flags->GetString("calibration_cache", "");
   env.backend = flags->GetString("backend", std::string(default_backend));

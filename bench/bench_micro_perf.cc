@@ -210,7 +210,7 @@ void WriteParallelSpeedupArtifact() {
 // --- perf_snapshot.json ----------------------------------------------------
 
 // One instrumented 6-bit striped LSD sort; median of three runs.
-double TimeStripedSort(int threads, bool sqrt_arena, size_t n) {
+double TimeStripedSort(int threads, size_t n) {
   ThreadPool pool(threads);
   approx::ApproxMemory::Options options;
   options.calibration_trials = 50000;
@@ -226,7 +226,6 @@ double TimeStripedSort(int threads, bool sqrt_arena, size_t n) {
       return memory.NewApproxArray(words, 0.055);
     };
     spec.tuning.pool = threads > 1 ? &pool : nullptr;
-    spec.tuning.lsd_sqrt_arena = sqrt_arena;
     Rng rng(4);
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(
@@ -262,12 +261,10 @@ double TimeApproxWrites(bool batched, size_t n) {
 void WritePerfSnapshotArtifact() {
   constexpr size_t kSortN = 1 << 20;
   constexpr size_t kWriteN = 1 << 22;
-  const double serial = TimeStripedSort(1, /*sqrt_arena=*/false, kSortN);
-  const double two = TimeStripedSort(2, /*sqrt_arena=*/false, kSortN);
-  const double four = TimeStripedSort(4, /*sqrt_arena=*/false, kSortN);
-  const double eight = TimeStripedSort(8, /*sqrt_arena=*/false, kSortN);
-  const double sqrt_serial =
-      TimeStripedSort(1, /*sqrt_arena=*/true, kSortN);
+  const double serial = TimeStripedSort(1, kSortN);
+  const double two = TimeStripedSort(2, kSortN);
+  const double four = TimeStripedSort(4, kSortN);
+  const double eight = TimeStripedSort(8, kSortN);
   const double scalar_writes = TimeApproxWrites(/*batched=*/false, kWriteN);
   const double batched_writes = TimeApproxWrites(/*batched=*/true, kWriteN);
 
@@ -286,7 +283,6 @@ void WritePerfSnapshotArtifact() {
       "    \"algorithm\": \"6-bit LSD\",\n"
       "    \"n\": %zu,\n"
       "    \"serial_seconds\": %.6f,\n"
-      "    \"sqrt_arena_serial_seconds\": %.6f,\n"
       "    \"speedup\": {\"2\": %.3f, \"4\": %.3f, \"8\": %.3f}\n"
       "  },\n"
       "  \"kernels\": {\n"
@@ -296,8 +292,8 @@ void WritePerfSnapshotArtifact() {
       "    \"batched_over_scalar\": %.3f\n"
       "  }\n"
       "}\n",
-      ThreadPool::HardwareThreads(), kSortN, serial, sqrt_serial,
-      serial / two, serial / four, serial / eight, kWriteN,
+      ThreadPool::HardwareThreads(), kSortN, serial, serial / two,
+      serial / four, serial / eight, kWriteN,
       static_cast<double>(kWriteN) / scalar_writes / 1e6,
       static_cast<double>(kWriteN) / batched_writes / 1e6,
       scalar_writes / batched_writes);

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cctype>
 #include <cstdlib>
 #include <string_view>
 
@@ -58,6 +59,24 @@ std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
   auto it = values_.find(name);
   return it == values_.end() ? def : it->second;
+}
+
+Status Flags::CheckListedIn(std::string_view usage) const {
+  for (const auto& [name, value] : values_) {
+    const std::string token = "--" + name;
+    bool listed = false;
+    for (size_t at = usage.find(token); at != std::string_view::npos;
+         at = usage.find(token, at + 1)) {
+      const size_t end = at + token.size();
+      const char next = end < usage.size() ? usage[end] : ' ';
+      if (!std::isalnum(static_cast<unsigned char>(next)) && next != '_') {
+        listed = true;
+        break;
+      }
+    }
+    if (!listed) return Status::InvalidArgument("unknown flag --" + name);
+  }
+  return Status::Ok();
 }
 
 size_t Flags::EnvSize(const char* var, size_t def) {

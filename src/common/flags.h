@@ -1,14 +1,17 @@
 // Tiny command-line flag parser for bench and example binaries.
 //
-// Supports "--name=value", "--name value", and boolean "--name". Unknown
-// flags are reported so typos fail loudly instead of silently running the
-// default experiment.
+// Supports "--name=value", "--name value", and boolean "--name". Parsing
+// accepts any name: the bench binaries stay permissive and ignore flags
+// they do not read, while approxmem_cli calls CheckListedIn with its usage
+// text so a typo fails loudly instead of silently running the default
+// experiment.
 #ifndef APPROXMEM_COMMON_FLAGS_H_
 #define APPROXMEM_COMMON_FLAGS_H_
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -27,6 +30,10 @@ class Flags {
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
   std::string GetString(const std::string& name, const std::string& def) const;
+
+  /// InvalidArgument naming the first parsed flag that `usage` does not
+  /// mention as "--name".
+  Status CheckListedIn(std::string_view usage) const;
 
   /// Environment override helper: returns env var as size_t if set and
   /// parseable, else `def`. Used for APPROX_BENCH_N.

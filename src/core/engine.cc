@@ -32,7 +32,6 @@ ApproxSortEngine::ApproxSortEngine(const EngineOptions& options)
 
 sort::SortTuning ApproxSortEngine::SortTuningForRuns() {
   sort::SortTuning tuning;
-  tuning.lsd_sqrt_arena = options_.lsd_sqrt_arena;
   if (options_.sort_pool != nullptr) {
     tuning.pool = options_.sort_pool;
   } else if (options_.sort_threads != 1) {
@@ -73,11 +72,11 @@ refine::RefineOptions ApproxSortEngine::RefineOptionsFor(
 
 StatusOr<refine::PreciseBaselineReport> ApproxSortEngine::PreciseBaseline(
     const std::vector<uint32_t>& keys, const sort::AlgorithmId& algorithm,
-    uint64_t sort_seed, bool with_ids, const sort::SortTuning& tuning,
-    std::vector<uint32_t>* sorted_keys, std::vector<uint32_t>* sorted_ids) {
+    uint64_t sort_seed, bool with_ids, std::vector<uint32_t>* sorted_keys,
+    std::vector<uint32_t>* sorted_ids) {
   return refine::PreciseSortBaseline(
       keys, algorithm, [this](size_t n) { return memory_.NewPreciseArray(n); },
-      sort_seed, with_ids, sorted_keys, tuning, sorted_ids);
+      sort_seed, with_ids, sorted_keys, SortTuningForRuns(), sorted_ids);
 }
 
 StatusOr<ApproxOnlyResult> ApproxSortEngine::SortApproxOnly(
@@ -115,7 +114,7 @@ StatusOr<ApproxOnlyResult> ApproxSortEngine::SortApproxOnly(
 
   // Precise baseline run (same algorithm, same input, no payload).
   const StatusOr<refine::PreciseBaselineReport> baseline = PreciseBaseline(
-      keys, algorithm, run.sort_seed, /*with_ids=*/false, run.tuning);
+      keys, algorithm, run.sort_seed, /*with_ids=*/false);
   if (!baseline.ok()) return baseline.status();
   result.precise_stats = baseline->keys + baseline->ids;
 
@@ -145,7 +144,7 @@ StatusOr<RefineOutcome> ApproxSortEngine::SortApproxRefine(
   outcome.refine = std::move(report.value());
 
   StatusOr<refine::PreciseBaselineReport> baseline = PreciseBaseline(
-      keys, algorithm, run.sort_seed, /*with_ids=*/true, run.tuning);
+      keys, algorithm, run.sort_seed, /*with_ids=*/true);
   if (!baseline.ok()) return baseline.status();
   outcome.baseline = std::move(baseline.value());
 
@@ -177,8 +176,7 @@ StatusOr<refine::PreciseBaselineReport> ApproxSortEngine::SortRunPrecise(
     std::vector<uint32_t>* sorted_ids) {
   memory_.BeginJobStream(stream_key);
   return PreciseBaseline(keys, algorithm, SortSeed(stream_key),
-                         /*with_ids=*/true, SortTuningForRuns(), sorted_keys,
-                         sorted_ids);
+                         /*with_ids=*/true, sorted_keys, sorted_ids);
 }
 
 bool ApproxSortEngine::RecommendApproxRefine(

@@ -79,8 +79,6 @@ struct EngineOptions {
   /// Optional externally owned pool for the intra-sort passes; overrides
   /// sort_threads when set (the engine then spawns no threads). Not owned.
   ThreadPool* sort_pool = nullptr;
-  /// Use the Radsort-style O(sqrt n) recycled chunk arena for LSD radix.
-  bool lsd_sqrt_arena = false;
 };
 
 /// Result of sorting in approximate memory only (no precise output).
@@ -168,8 +166,7 @@ class ApproxSortEngine {
 
   /// The tuning handed to every sort this engine runs: resolves sort_pool /
   /// sort_threads (lazily spawning an owned pool on first use when
-  /// sort_threads != 1 and no external pool was given) and the LSD arena
-  /// mode.
+  /// sort_threads != 1 and no external pool was given).
   sort::SortTuning SortTuningForRuns();
 
   // ---- Run plumbing shared by every entry point and core::SortResilient.
@@ -191,11 +188,11 @@ class ApproxSortEngine {
                                          double knob, uint64_t sort_seed);
 
   /// Equation 2's denominator: `algorithm` over `keys` entirely in this
-  /// engine's precise memory (see refine::PreciseSortBaseline for the
-  /// optional outputs).
+  /// engine's precise memory under SortTuningForRuns (see
+  /// refine::PreciseSortBaseline for the optional outputs).
   StatusOr<refine::PreciseBaselineReport> PreciseBaseline(
       const std::vector<uint32_t>& keys, const sort::AlgorithmId& algorithm,
-      uint64_t sort_seed, bool with_ids, const sort::SortTuning& tuning,
+      uint64_t sort_seed, bool with_ids,
       std::vector<uint32_t>* sorted_keys = nullptr,
       std::vector<uint32_t>* sorted_ids = nullptr);
 

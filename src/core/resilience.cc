@@ -60,13 +60,10 @@ StatusOr<ResilienceReport> SortResilient(
   report.n = keys.size();
 
   // The precise baseline: Equation 2's denominator, same seed as
-  // SortApproxRefine so the two outcomes are directly comparable. It runs
-  // with the default tuning: the LSD arena mode changes scratch sizes, and
-  // with them the addresses every later allocation of this call lands on.
+  // SortApproxRefine so the two outcomes are directly comparable.
   {
-    StatusOr<refine::PreciseBaselineReport> baseline =
-        engine.PreciseBaseline(keys, algorithm, engine.SortSeed(),
-                               /*with_ids=*/true, sort::SortTuning{});
+    StatusOr<refine::PreciseBaselineReport> baseline = engine.PreciseBaseline(
+        keys, algorithm, engine.SortSeed(), /*with_ids=*/true);
     if (!baseline.ok()) return baseline.status();
     report.baseline = std::move(baseline.value());
   }

@@ -56,8 +56,8 @@ struct RefineOptions {
   /// When true, compute the exact Rem / sortedness of the approx-stage
   /// output (costs an LIS pass; off for large sweeps if undesired).
   bool measure_approx_sortedness = true;
-  /// Intra-sort execution tuning (worker pool, LSD arena mode), applied to
-  /// every sort the pipeline runs. Never changes results — see SortTuning.
+  /// Intra-sort execution tuning (worker pool), applied to every sort the
+  /// pipeline runs. Never changes results — see SortTuning.
   sort::SortTuning tuning;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sort/quicksort.h"
-
 namespace approxmem::sort {
 namespace {
 
@@ -36,19 +34,11 @@ void MergeRuns(approx::ApproxArrayU32& src_keys,
 
 }  // namespace
 
-Status Mergesort(SortSpec& spec, const MergesortOptions& options) {
+Status Mergesort(SortSpec& spec) {
   Status status = ValidateSpec(spec, /*needs_buffers=*/true);
   if (!status.ok()) return status;
   const size_t n = spec.keys->size();
   if (n < 2) return Status::Ok();
-
-  const size_t base = std::max<size_t>(options.base_run_elements, 1);
-  if (base > 1) {
-    for (size_t lo = 0; lo < n; lo += base) {
-      const size_t hi = std::min(lo + base, n) - 1;
-      if (hi > lo) InsertionSortRange(spec, lo, hi);
-    }
-  }
 
   approx::ApproxArrayU32 scratch_keys = spec.alloc_key_buffer(n);
   approx::ApproxArrayU32 scratch_ids_storage =
@@ -62,7 +52,7 @@ Status Mergesort(SortSpec& spec, const MergesortOptions& options) {
   approx::ApproxArrayU32* src_ids = spec.ids;
   approx::ApproxArrayU32* dst_ids = scratch_ids;
 
-  for (size_t run = base; run < n; run *= 2) {
+  for (size_t run = 1; run < n; run *= 2) {
     for (size_t lo = 0; lo < n; lo += 2 * run) {
       const size_t mid = std::min(lo + run, n);
       const size_t hi = std::min(lo + 2 * run, n);

@@ -2,9 +2,7 @@
 //
 // Alternates between the input arrays and scratch buffers, one full pass
 // per run-doubling, for n*ceil(log2 n) key writes total — the paper's
-// alpha_mergesort(n) ~ n*log2(n). An optional base-run size models the
-// paper's L2-sized first level: base runs are pre-sorted with insertion
-// sort before the merge passes start.
+// alpha_mergesort(n) ~ n*log2(n).
 #ifndef APPROXMEM_SORT_MERGESORT_H_
 #define APPROXMEM_SORT_MERGESORT_H_
 
@@ -13,16 +11,9 @@
 
 namespace approxmem::sort {
 
-struct MergesortOptions {
-  /// Elements per pre-sorted base run; 1 means classic bottom-up merging
-  /// from single elements. Values > 1 use insertion sort per base run, so
-  /// keep them small (the write count grows quadratically with this).
-  size_t base_run_elements = 1;
-};
-
 /// Sorts spec.keys (and spec.ids) ascending by key. Requires
 /// spec.alloc_key_buffer (and alloc_id_buffer when ids are present).
-Status Mergesort(SortSpec& spec, const MergesortOptions& options);
+Status Mergesort(SortSpec& spec);
 
 }  // namespace approxmem::sort
 

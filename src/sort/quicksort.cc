@@ -7,6 +7,9 @@
 namespace approxmem::sort {
 namespace {
 
+// Partitions at or below this size finish with insertion sort.
+constexpr size_t kInsertionCutoff = 16;
+
 // Hoare partition of [lo, hi] around a random pivot value; returns a split
 // point in [lo, hi-1] such that, absent corruption, [lo, split] <= pivot <=
 // [split+1, hi].
@@ -55,20 +58,19 @@ void InsertionSortRange(SortSpec& spec, size_t lo, size_t hi) {
   }
 }
 
-Status Quicksort(SortSpec& spec, const QuicksortOptions& options, Rng& rng) {
+Status Quicksort(SortSpec& spec, Rng& rng) {
   Status status = ValidateSpec(spec, /*needs_buffers=*/false);
   if (!status.ok()) return status;
   const size_t n = spec.keys->size();
   if (n < 2) return Status::Ok();
 
-  const size_t cutoff = std::max<size_t>(options.insertion_cutoff, 1);
   // Explicit stack; deferring the larger half bounds the stack depth.
   std::vector<std::pair<size_t, size_t>> stack;
   stack.emplace_back(0, n - 1);
   while (!stack.empty()) {
     auto [lo, hi] = stack.back();
     stack.pop_back();
-    while (hi > lo && hi - lo + 1 > cutoff) {
+    while (hi > lo && hi - lo + 1 > kInsertionCutoff) {
       const size_t split = HoarePartition(spec, lo, hi, rng);
       // split is in [lo, hi-1], so both halves are non-empty.
       if (split - lo < hi - split - 1) {

@@ -14,14 +14,9 @@
 
 namespace approxmem::sort {
 
-struct QuicksortOptions {
-  /// Partitions at or below this size finish with insertion sort.
-  size_t insertion_cutoff = 16;
-};
-
 /// Sorts spec.keys (and spec.ids) ascending by key. In-place; needs no
 /// scratch allocators.
-Status Quicksort(SortSpec& spec, const QuicksortOptions& options, Rng& rng);
+Status Quicksort(SortSpec& spec, Rng& rng);
 
 /// Insertion-sorts the closed range [lo, hi] of spec. Exposed for the MSD
 /// radix small-bucket cutoff and for tests.

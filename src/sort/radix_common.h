@@ -64,25 +64,22 @@ void RunStripes(ThreadPool* pool, bool concurrent_ok, size_t count,
                 const std::function<void(size_t)>& fn);
 
 /// One stripe's word-at-a-time scatter: buffers (destination, key, id)
-/// triples and writes them through Shard::ScatterPaired in blocks of at
-/// most `block` elements, so the write models run batched while the arrays
+/// triples and writes them through Shard::ScatterPaired in blocks of
+/// kScatterBlock elements, so the write models run batched while the arrays
 /// see the same per-element key, id write sequence. Call Flush() before
 /// the shards are read or merged.
 class ScatterBuffer {
  public:
   /// `ids` may be null when no ids are tracked.
-  explicit ScatterBuffer(
-      approx::ApproxArrayU32::Shard* keys, approx::ApproxArrayU32::Shard* ids,
-      size_t block = approx::ApproxArrayU32::kScatterBlock)
-      : keys_(keys), ids_(ids), block_(block) {
-    APPROXMEM_CHECK(block_ >= 1 && block_ <= kCapacity);
-  }
+  ScatterBuffer(approx::ApproxArrayU32::Shard* keys,
+                approx::ApproxArrayU32::Shard* ids)
+      : keys_(keys), ids_(ids) {}
 
   void Push(size_t dest, uint32_t key, uint32_t id) {
     dest_[pending_] = dest;
     keys_pending_[pending_] = key;
     ids_pending_[pending_] = id;
-    if (++pending_ == block_) Flush();
+    if (++pending_ == kBlock) Flush();
   }
 
   void Flush() {
@@ -92,14 +89,13 @@ class ScatterBuffer {
   }
 
  private:
-  static constexpr size_t kCapacity = approx::ApproxArrayU32::kScatterBlock;
+  static constexpr size_t kBlock = approx::ApproxArrayU32::kScatterBlock;
   approx::ApproxArrayU32::Shard* keys_;
   approx::ApproxArrayU32::Shard* ids_;
-  size_t block_;
   size_t pending_ = 0;
-  size_t dest_[kCapacity];
-  uint32_t keys_pending_[kCapacity];
-  uint32_t ids_pending_[kCapacity];
+  size_t dest_[kBlock];
+  uint32_t keys_pending_[kBlock];
+  uint32_t ids_pending_[kBlock];
 };
 
 /// Queue-bucket storage backed by instrumented scratch arrays.

@@ -12,6 +12,9 @@
 namespace approxmem::sort {
 namespace {
 
+// MSD buckets at or below this size finish with insertion sort.
+constexpr size_t kInsertionCutoff = 32;
+
 struct Buffers {
   approx::ApproxArrayU32* keys;
   approx::ApproxArrayU32* ids;  // Null when ids are not tracked.
@@ -84,16 +87,16 @@ void Scatter(const Buffers& src, const Buffers& dst, size_t lo, size_t hi,
 
 }  // namespace
 
-Status LsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
+Status LsdHistogramSort(SortSpec& spec, int bits) {
   Status status = ValidateSpec(spec, /*needs_buffers=*/true);
   if (!status.ok()) return status;
-  if (options.bits < 1 || options.bits > 16) {
+  if (bits < 1 || bits > 16) {
     return Status::InvalidArgument("radix bits must be in [1, 16]");
   }
   const size_t n = spec.keys->size();
   if (n < 2) return Status::Ok();
 
-  const RadixPlan plan = RadixPlan::ForBits(options.bits);
+  const RadixPlan plan = RadixPlan::ForBits(bits);
   const StripePlan stripes = StripePlan::ForN(n);
   const size_t num_stripes = stripes.count;
   const uint32_t buckets = plan.buckets;
@@ -106,7 +109,7 @@ Status LsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
   Buffers primary{spec.keys, spec.ids};
   Buffers scratch{&scratch_keys, with_ids ? &scratch_ids_storage : nullptr};
 
-  ThreadPool* pool = options.pool;
+  ThreadPool* pool = spec.tuning.pool;
   const bool concurrent =
       pool != nullptr && pool->thread_count() > 1 && num_stripes > 1 &&
       spec.keys->ConcurrentShardSafe() && scratch_keys.ConcurrentShardSafe() &&
@@ -218,16 +221,16 @@ Status LsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
   return Status::Ok();
 }
 
-Status MsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
+Status MsdHistogramSort(SortSpec& spec, int bits) {
   Status status = ValidateSpec(spec, /*needs_buffers=*/true);
   if (!status.ok()) return status;
-  if (options.bits < 1 || options.bits > 16) {
+  if (bits < 1 || bits > 16) {
     return Status::InvalidArgument("radix bits must be in [1, 16]");
   }
   const size_t n = spec.keys->size();
   if (n < 2) return Status::Ok();
 
-  const RadixPlan plan = RadixPlan::ForBits(options.bits);
+  const RadixPlan plan = RadixPlan::ForBits(bits);
   approx::ApproxArrayU32 scratch_keys = spec.alloc_key_buffer(n);
   approx::ApproxArrayU32 scratch_ids_storage =
       spec.ids != nullptr ? spec.alloc_id_buffer(n)
@@ -253,7 +256,7 @@ Status MsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options) {
     const Buffers src = seg.in_primary ? primary : scratch;
     const Buffers dst = seg.in_primary ? scratch : primary;
 
-    if (len < 2 || len <= options.insertion_cutoff || seg.shift < 0) {
+    if (len < 2 || len <= kInsertionCutoff || seg.shift < 0) {
       // Leaf: make sure the data is back in the primary buffer, then finish
       // with insertion sort (through the instrumented primary arrays).
       if (!seg.in_primary) CopyRange(src, primary, seg.lo, seg.hi);

@@ -15,31 +15,19 @@
 #include "common/status.h"
 #include "sort/sort_common.h"
 
-namespace approxmem {
-class ThreadPool;
-}
-
 namespace approxmem::sort {
-
-struct HistogramRadixOptions {
-  int bits = 6;
-  /// MSD only: buckets at or below this size finish with insertion sort.
-  size_t insertion_cutoff = 32;
-  /// LSD only: worker pool for the striped counting/scatter passes (null
-  /// means serial). Results never depend on the thread count.
-  ThreadPool* pool = nullptr;
-};
 
 /// Histogram-based LSD radix sort: ceil(32/bits) stable counting passes,
 /// ping-ponging between the input and one scratch buffer. Each pass reads
 /// every element once (counting digits and stashing the observed value in
 /// DRAM) and writes it once, straight to its final slot in the other
-/// buffer.
-Status LsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options);
+/// buffer. The striped passes run on spec.tuning.pool; results never depend
+/// on the thread count.
+Status LsdHistogramSort(SortSpec& spec, int bits);
 
 /// Histogram-based MSD radix sort: recursive counting partition, scattering
 /// between buffers per level, with a parity copy at the leaves.
-Status MsdHistogramSort(SortSpec& spec, const HistogramRadixOptions& options);
+Status MsdHistogramSort(SortSpec& spec, int bits);
 
 }  // namespace approxmem::sort
 

@@ -11,50 +11,18 @@
 #ifndef APPROXMEM_SORT_RADIX_LSD_H_
 #define APPROXMEM_SORT_RADIX_LSD_H_
 
-#include <cstddef>
-
 #include "common/status.h"
 #include "sort/sort_common.h"
 
-namespace approxmem {
-class ThreadPool;
-}
-
 namespace approxmem::sort {
-
-/// Scratch-arena strategy for the LSD scatter passes.
-enum class LsdArenaMode {
-  /// n-word arena: scatter into it, then drain contiguously back.
-  kFullBuffer,
-  /// Radsort-style recycled chunks: each stripe pushes ceil(sqrt(stripe))
-  /// elements at a time through a small arena region and emits straight
-  /// into the destination windows. Identical simulated access counts with
-  /// O(sqrt n) scratch words.
-  kSqrtChunks,
-};
-
-struct LsdRadixOptions {
-  /// Digit width in bits; the paper evaluates 3, 4, 5, and 6.
-  int bits = 6;
-  /// Section 3.1's software write combining: stage bucket scatters in DRAM
-  /// and flush to the target windows in sequential chunks. Same write
-  /// count, sequential pattern — pays off under the sequential-write
-  /// discount.
-  bool write_combining = false;
-  /// Staging-buffer size when write combining is on.
-  size_t combine_chunk_elements = 64;
-  /// Scratch-arena strategy (see LsdArenaMode).
-  LsdArenaMode arena_mode = LsdArenaMode::kFullBuffer;
-  /// Worker pool for the striped passes; null means serial. Results never
-  /// depend on the thread count.
-  ThreadPool* pool = nullptr;
-};
 
 /// Sorts spec.keys (and spec.ids) ascending by key. ceil(32/bits) stable
 /// passes from the least significant digit; each pass moves every element
 /// into its bucket window (one write) and back (one write). Requires
-/// spec.alloc_key_buffer (and alloc_id_buffer when ids are set).
-Status LsdRadixSort(SortSpec& spec, const LsdRadixOptions& options);
+/// spec.alloc_key_buffer (and alloc_id_buffer when ids are set). `bits` is
+/// the digit width (the paper evaluates 3..6; 1..16 accepted); the striped
+/// passes run on spec.tuning.pool.
+Status LsdRadixSort(SortSpec& spec, int bits);
 
 }  // namespace approxmem::sort
 

@@ -9,6 +9,9 @@
 namespace approxmem::sort {
 namespace {
 
+// Buckets at or below this size finish with insertion sort.
+constexpr size_t kInsertionCutoff = 32;
+
 struct Segment {
   size_t lo;
   size_t hi;  // Exclusive.
@@ -17,16 +20,16 @@ struct Segment {
 
 }  // namespace
 
-Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options) {
+Status MsdRadixSort(SortSpec& spec, int bits) {
   Status status = ValidateSpec(spec, /*needs_buffers=*/true);
   if (!status.ok()) return status;
-  if (options.bits < 1 || options.bits > 16) {
+  if (bits < 1 || bits > 16) {
     return Status::InvalidArgument("MSD radix bits must be in [1, 16]");
   }
   const size_t n = spec.keys->size();
   if (n < 2) return Status::Ok();
 
-  const RadixPlan plan = RadixPlan::ForBits(options.bits);
+  const RadixPlan plan = RadixPlan::ForBits(bits);
   approx::ApproxArrayU32 key_arena = spec.alloc_key_buffer(n);
   approx::ApproxArrayU32 id_arena_storage =
       spec.ids != nullptr ? spec.alloc_id_buffer(n)
@@ -34,7 +37,6 @@ Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options) {
   approx::ApproxArrayU32* id_arena =
       spec.ids != nullptr ? &id_arena_storage : nullptr;
 
-  const size_t cutoff = options.insertion_cutoff;
   std::vector<Segment> stack;
   stack.push_back(Segment{0, n, plan.TopShift()});
 
@@ -43,7 +45,7 @@ Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options) {
     stack.pop_back();
     const size_t len = seg.hi - seg.lo;
     if (len < 2) continue;
-    if (len <= cutoff || seg.shift < 0) {
+    if (len <= kInsertionCutoff || seg.shift < 0) {
       InsertionSortRange(spec, seg.lo, seg.hi - 1);
       continue;
     }

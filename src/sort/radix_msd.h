@@ -7,19 +7,13 @@
 
 namespace approxmem::sort {
 
-struct MsdRadixOptions {
-  /// Digit width in bits; the paper evaluates 3, 4, 5, and 6.
-  int bits = 6;
-  /// Buckets at or below this size finish with insertion sort.
-  size_t insertion_cutoff = 32;
-};
-
 /// Sorts spec.keys (and spec.ids) ascending by key. Recursively partitions
 /// from the most significant digit using bucket queues; like quicksort,
 /// later levels touch ever-smaller ranges, which localizes the damage of
 /// earlier corrupted writes (Section 3.5). Requires spec.alloc_key_buffer
-/// (and alloc_id_buffer when ids are set).
-Status MsdRadixSort(SortSpec& spec, const MsdRadixOptions& options);
+/// (and alloc_id_buffer when ids are set). `bits` is the digit width (the
+/// paper evaluates 3..6; 1..16 accepted).
+Status MsdRadixSort(SortSpec& spec, int bits);
 
 }  // namespace approxmem::sort
 

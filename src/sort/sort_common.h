@@ -34,9 +34,6 @@ using ArrayAlloc = std::function<approx::ApproxArrayU32(size_t)>;
 struct SortTuning {
   /// Worker pool for the intra-sort parallel passes (null means serial).
   ThreadPool* pool = nullptr;
-  /// Use the Radsort-style O(sqrt n) recycled chunk arena for LSD radix
-  /// (identical simulated access counts; smaller scratch footprint).
-  bool lsd_sqrt_arena = false;
 };
 
 /// The arrays an algorithm sorts plus where its scratch may live.

@@ -105,34 +105,17 @@ void SwapElements(SortSpec& spec, size_t i, size_t j) {
 Status RunSort(SortSpec& spec, const AlgorithmId& algorithm, Rng& rng) {
   switch (algorithm.kind) {
     case SortKind::kQuicksort:
-      return Quicksort(spec, QuicksortOptions{}, rng);
+      return Quicksort(spec, rng);
     case SortKind::kMergesort:
-      return Mergesort(spec, MergesortOptions{});
-    case SortKind::kLsdRadix: {
-      LsdRadixOptions options;
-      options.bits = algorithm.radix_bits;
-      options.pool = spec.tuning.pool;
-      if (spec.tuning.lsd_sqrt_arena) {
-        options.arena_mode = LsdArenaMode::kSqrtChunks;
-      }
-      return LsdRadixSort(spec, options);
-    }
-    case SortKind::kMsdRadix: {
-      MsdRadixOptions options;
-      options.bits = algorithm.radix_bits;
-      return MsdRadixSort(spec, options);
-    }
-    case SortKind::kLsdHistogram: {
-      HistogramRadixOptions options;
-      options.bits = algorithm.radix_bits;
-      options.pool = spec.tuning.pool;
-      return LsdHistogramSort(spec, options);
-    }
-    case SortKind::kMsdHistogram: {
-      HistogramRadixOptions options;
-      options.bits = algorithm.radix_bits;
-      return MsdHistogramSort(spec, options);
-    }
+      return Mergesort(spec);
+    case SortKind::kLsdRadix:
+      return LsdRadixSort(spec, algorithm.radix_bits);
+    case SortKind::kMsdRadix:
+      return MsdRadixSort(spec, algorithm.radix_bits);
+    case SortKind::kLsdHistogram:
+      return LsdHistogramSort(spec, algorithm.radix_bits);
+    case SortKind::kMsdHistogram:
+      return MsdHistogramSort(spec, algorithm.radix_bits);
   }
   return Status::InvalidArgument("unknown sort kind");
 }

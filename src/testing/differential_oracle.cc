@@ -35,7 +35,6 @@ std::string OracleCase::Name() const {
   out << algorithm.Name() << "/" << ShapeName(shape) << " n=" << n
       << " T=" << paper_t << " seed=" << seed;
   if (sort_threads != 1) out << " st=" << sort_threads;
-  if (lsd_sqrt_arena) out << " sqrt";
   return out.str();
 }
 
@@ -67,7 +66,6 @@ OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
   engine_options.seed = oracle_case.seed;
   engine_options.shared_calibration = options.shared_calibration;
   engine_options.sort_threads = oracle_case.sort_threads;
-  engine_options.lsd_sqrt_arena = oracle_case.lsd_sqrt_arena;
   if (options.check_trace_conservation) engine_options.trace = &trace;
   if (options.injector != nullptr) {
     engine_options.fault_hook = options.injector;

@@ -50,11 +50,9 @@ struct OracleCase {
   /// Intra-sort workers for the striped radix passes (1 = serial). Any
   /// value must give the same verdict and digest.
   int sort_threads = 1;
-  /// Radsort-style O(sqrt n) LSD scratch arena.
-  bool lsd_sqrt_arena = false;
 
   /// "quicksort/uniform n=256 T=55 seed=1" — paste-able repro label
-  /// (annotated with st=/sqrt when the tuning is non-default).
+  /// (annotated with st= when sort_threads is not 1).
   std::string Name() const;
 };
 

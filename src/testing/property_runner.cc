@@ -68,9 +68,6 @@ OracleCase MakeRandomCase(const RunnerOptions& options, uint64_t index) {
     oracle_case.sort_threads = options.sort_thread_pool[rng.UniformInt(
         options.sort_thread_pool.size())];
   }
-  if (options.randomize_lsd_sqrt_arena) {
-    oracle_case.lsd_sqrt_arena = rng.UniformInt(2) == 1;
-  }
   return oracle_case;
 }
 

@@ -44,8 +44,6 @@ struct RunnerOptions {
   /// Intra-sort thread counts MakeRandomCase draws from (empty keeps the
   /// default of 1). Any value must give the same verdict and digest.
   std::vector<int> sort_thread_pool = {1, 2, 4};
-  /// Also randomize the Radsort-style O(sqrt n) LSD arena mode.
-  bool randomize_lsd_sqrt_arena = true;
 };
 
 struct RunnerResult {

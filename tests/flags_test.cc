@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +40,19 @@ TEST(FlagsTest, ExplicitFalse) {
   const Flags flags = MustParse({"--full=false", "--quiet=0"});
   EXPECT_FALSE(flags.GetBool("full", true));
   EXPECT_FALSE(flags.GetBool("quiet", true));
+}
+
+TEST(FlagsTest, CheckListedInRejectsUnlistedNames) {
+  constexpr char kUsage[] = "usage: x --cmd=A [--sort_threads=K] --exact\n";
+  EXPECT_TRUE(MustParse({"--cmd=sort", "--sort_threads=4", "--exact"})
+                  .CheckListedIn(kUsage)
+                  .ok());
+  // A typo that is a prefix of a listed name is still unknown.
+  const Status typo = MustParse({"--sort_thread=4"}).CheckListedIn(kUsage);
+  EXPECT_EQ(typo.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(typo.message().find("--sort_thread"), std::string::npos);
+  EXPECT_FALSE(MustParse({"--ex"}).CheckListedIn(kUsage).ok());
+  EXPECT_FALSE(MustParse({"--algo=lsd3"}).CheckListedIn(kUsage).ok());
 }
 
 TEST(FlagsTest, DefaultsWhenAbsent) {

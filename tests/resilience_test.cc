@@ -410,5 +410,79 @@ TEST(ResilienceTest, LadderIsDeterministicAcrossThreadCounts) {
   }
 }
 
+uint64_t DigestStats(uint64_t hash, const approx::MemoryStats& stats) {
+  const double doubles[] = {stats.write_cost, stats.read_cost,
+                            stats.pv_iterations};
+  hash = Fnv1a64(doubles, sizeof(doubles), hash);
+  for (const uint64_t counter :
+       {stats.word_reads, stats.word_writes, stats.corrupted_writes,
+        stats.sequential_writes, stats.degraded_regions}) {
+    hash = Fnv1a64Word(hash, counter);
+  }
+  return hash;
+}
+
+// Digests of one resilient run: the attempt ladder, the cumulative and
+// baseline ledgers, and the final output.
+struct ResilientDigests {
+  uint64_t attempts = 0;
+  uint64_t cumulative = 0;
+  uint64_t baseline = 0;
+  uint64_t keys = 0;
+  uint64_t ids = 0;
+};
+
+ResilientDigests RunResilientWithSortThreads(
+    const sort::AlgorithmId& algorithm, int sort_threads, bool inject) {
+  testing::FaultInjector injector(testing::FaultPlan::ApproxStorm(0x5eed));
+  EngineOptions options = FastOptions();
+  options.sort_threads = sort_threads;
+  if (inject) options.fault_hook = &injector;
+  ApproxSortEngine engine(options);
+  // 20000 keys make several stripes, so unhooked runs split their passes.
+  const auto keys = MakeKeys(WorkloadKind::kUniform, 20000, 9);
+  std::vector<uint32_t> out_keys;
+  std::vector<uint32_t> out_ids;
+  const auto report =
+      SortResilient(engine, keys, algorithm, 0.055, {}, &out_keys, &out_ids);
+  ResilientDigests digests;
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return digests;
+  EXPECT_TRUE(report->verified);
+  EXPECT_EQ(out_keys, SortedCopy(keys));
+  if (inject) {
+    EXPECT_GT(injector.injected_write_faults(), 0u);
+  }
+  digests.attempts = report->AttemptDigest();
+  digests.cumulative = DigestStats(kFnv1a64Offset, report->cumulative);
+  digests.baseline = DigestStats(
+      DigestStats(kFnv1a64Offset, report->baseline.keys),
+      report->baseline.ids);
+  digests.keys =
+      Fnv1a64(out_keys.data(), out_keys.size() * sizeof(out_keys[0]));
+  digests.ids = Fnv1a64(out_ids.data(), out_ids.size() * sizeof(out_ids[0]));
+  return digests;
+}
+
+// The baseline and every attempt run the striped sorts on the engine's
+// sort pool; nothing the report carries may depend on its size.
+TEST(ResilienceTest, SortThreadsDoNotChangeTheReport) {
+  const sort::AlgorithmId hlsd3{sort::SortKind::kLsdHistogram, 3};
+  for (const sort::AlgorithmId& algorithm : {kLsd3, hlsd3}) {
+    for (const bool inject : {false, true}) {
+      SCOPED_TRACE(algorithm.Name() + (inject ? " storm" : " no faults"));
+      const ResilientDigests serial =
+          RunResilientWithSortThreads(algorithm, 1, inject);
+      const ResilientDigests pooled =
+          RunResilientWithSortThreads(algorithm, 4, inject);
+      EXPECT_EQ(serial.attempts, pooled.attempts);
+      EXPECT_EQ(serial.cumulative, pooled.cumulative);
+      EXPECT_EQ(serial.baseline, pooled.baseline);
+      EXPECT_EQ(serial.keys, pooled.keys);
+      EXPECT_EQ(serial.ids, pooled.ids);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace approxmem::core

@@ -1,8 +1,8 @@
 // The intra-sort parallelism contract: for a fixed seed, the striped radix
 // engine produces identical final keys/IDs, write counts, corruption
-// counts, and cost ledgers at every sort_threads setting — on both the MLC
-// PCM and spintronic backends, and in both LSD arena modes. Only
-// wall-clock may change with the thread count.
+// counts, and cost ledgers at every sort_threads setting, on both the MLC
+// PCM and spintronic backends. Only wall-clock may change with the thread
+// count.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -38,14 +38,13 @@ struct RunSummary {
 
 RunSummary RunOnce(const std::string& backend, double knob,
                    const sort::AlgorithmId& algorithm, int sort_threads,
-                   bool sqrt_arena, ThreadPool* sort_pool = nullptr) {
+                   ThreadPool* sort_pool = nullptr) {
   core::EngineOptions options;
   options.backend = backend;
   options.seed = 77;
   options.calibration_trials = 5000;
   options.sort_threads = sort_threads;
   options.sort_pool = sort_pool;
-  options.lsd_sqrt_arena = sqrt_arena;
   core::ApproxSortEngine engine(options);
   const auto input = core::MakeKeys(core::WorkloadKind::kUniform, kN, 7);
 
@@ -94,23 +93,19 @@ TEST(SortThreadsDeterminismTest, MatrixIdenticalAcrossThreadCounts) {
 
   for (const auto& b : backends) {
     for (const sort::AlgorithmId& algorithm : algorithms) {
-      for (const bool sqrt_arena : {false, true}) {
-        const RunSummary serial =
-            RunOnce(b.backend, b.knob, algorithm, /*sort_threads=*/1,
-                    sqrt_arena);
-        // The operating points are hot enough that corruption actually
-        // happens — the parity below is not vacuous.
-        EXPECT_GT(serial.approx_corrupted, 0u) << b.backend;
-        // 0 = hardware concurrency, whatever that is on the CI host.
-        for (const int threads : {2, 4, 8, 0}) {
-          std::ostringstream label;
-          label << b.backend << " " << algorithm.Name()
-                << (sqrt_arena ? " sqrt" : " full")
-                << " sort_threads=" << threads;
-          SCOPED_TRACE(label.str());
-          ExpectIdentical(serial, RunOnce(b.backend, b.knob, algorithm,
-                                          threads, sqrt_arena));
-        }
+      const RunSummary serial =
+          RunOnce(b.backend, b.knob, algorithm, /*sort_threads=*/1);
+      // The operating points are hot enough that corruption actually
+      // happens — the parity below is not vacuous.
+      EXPECT_GT(serial.approx_corrupted, 0u) << b.backend;
+      // 0 = hardware concurrency, whatever that is on the CI host.
+      for (const int threads : {2, 4, 8, 0}) {
+        std::ostringstream label;
+        label << b.backend << " " << algorithm.Name()
+              << " sort_threads=" << threads;
+        SCOPED_TRACE(label.str());
+        ExpectIdentical(serial,
+                        RunOnce(b.backend, b.knob, algorithm, threads));
       }
     }
   }
@@ -119,27 +114,10 @@ TEST(SortThreadsDeterminismTest, MatrixIdenticalAcrossThreadCounts) {
 TEST(SortThreadsDeterminismTest, ExternalPoolMatchesOwnedPool) {
   const sort::AlgorithmId algorithm{sort::SortKind::kLsdRadix, 3};
   const RunSummary serial =
-      RunOnce("mlc-pcm", 0.07, algorithm, /*sort_threads=*/1,
-              /*sqrt_arena=*/false);
+      RunOnce("mlc-pcm", 0.07, algorithm, /*sort_threads=*/1);
   ThreadPool pool(4);
   ExpectIdentical(serial, RunOnce("mlc-pcm", 0.07, algorithm,
-                                  /*sort_threads=*/1, /*sqrt_arena=*/false,
-                                  &pool));
-}
-
-TEST(SortThreadsDeterminismTest, SqrtArenaStillSortsButChangesTraffic) {
-  const sort::AlgorithmId algorithm{sort::SortKind::kLsdRadix, 3};
-  const RunSummary full = RunOnce("mlc-pcm", 0.07, algorithm,
-                                  /*sort_threads=*/1, /*sqrt_arena=*/false);
-  const RunSummary sqrt = RunOnce("mlc-pcm", 0.07, algorithm,
-                                  /*sort_threads=*/1, /*sqrt_arena=*/true);
-  // Both modes end exactly sorted (the refine guarantee), but they are
-  // different algorithms over approximate memory: the recycled chunk arena
-  // rewrites the same scratch region every stripe, so the RNG stream
-  // assignment — and hence the corruption pattern — legitimately differs.
-  EXPECT_EQ(full.keys, sqrt.keys);
-  EXPECT_EQ(full.ids.size(), sqrt.ids.size());
-  EXPECT_EQ(full.approx_writes, sqrt.approx_writes);
+                                  /*sort_threads=*/1, &pool));
 }
 
 uint64_t DigestStats(uint64_t hash, const approx::MemoryStats& stats) {
@@ -159,14 +137,13 @@ uint64_t DigestStats(uint64_t hash, const approx::MemoryStats& stats) {
 // decisions, and the ordered trace. `hooked` attaches an approx-domain
 // fault storm and a trace sink (both empty otherwise).
 uint64_t PinnedRunDigest(const sort::AlgorithmId& algorithm, int sort_threads,
-                         bool sqrt_arena, bool hooked) {
+                         bool hooked) {
   testing::FaultInjector injector(testing::FaultPlan::ApproxStorm(0x5eed));
   mem::TraceBuffer trace;
   core::EngineOptions options;
   options.seed = 77;
   options.calibration_trials = 5000;
   options.sort_threads = sort_threads;
-  options.lsd_sqrt_arena = sqrt_arena;
   if (hooked) {
     options.fault_hook = &injector;
     options.trace = &trace;
@@ -216,25 +193,20 @@ TEST(StripedSortPinTest, DigestsMatchThePerElementScatter) {
   const sort::AlgorithmId hlsd3{sort::SortKind::kLsdHistogram, 3};
   const struct {
     sort::AlgorithmId algorithm;
-    bool sqrt_arena;
     bool hooked;
     uint64_t digest;
   } pins[] = {
-      {lsd3, false, true, 0xf2ba430f5b54884dULL},
-      {hlsd3, false, true, 0x6aafa85a7aaa00e9ULL},
-      {lsd3, true, true, 0xce756c1169a73d7aULL},
-      {lsd3, false, false, 0x3875dfc4e694ccecULL},
-      {hlsd3, false, false, 0xc51379a9a5ab8bc2ULL},
-      {lsd3, true, false, 0xe2a2dc0a5130698fULL},
+      {lsd3, true, 0xf2ba430f5b54884dULL},
+      {hlsd3, true, 0x6aafa85a7aaa00e9ULL},
+      {lsd3, false, 0x3875dfc4e694ccecULL},
+      {hlsd3, false, 0xc51379a9a5ab8bc2ULL},
   };
   for (const auto& pin : pins) {
     for (const int threads : {1, 4}) {
-      SCOPED_TRACE(pin.algorithm.Name() +
-                   (pin.sqrt_arena ? " sqrt" : " full") +
-                   (pin.hooked ? " hooked" : "") +
+      SCOPED_TRACE(pin.algorithm.Name() + (pin.hooked ? " hooked" : "") +
                    " sort_threads=" + std::to_string(threads));
       const uint64_t digest =
-          PinnedRunDigest(pin.algorithm, threads, pin.sqrt_arena, pin.hooked);
+          PinnedRunDigest(pin.algorithm, threads, pin.hooked);
       EXPECT_EQ(digest, pin.digest);
     }
   }

@@ -8,12 +8,10 @@
 
 #include "approx/approx_memory.h"
 #include "common/random.h"
-#include "core/workload.h"
 #include "refine/cost_model.h"
-#include "sort/mergesort.h"
-#include "sort/quicksort.h"
+#include "sort/radix_histogram.h"
 #include "sort/radix_lsd.h"
-#include "sortedness/measures.h"
+#include "sort/radix_msd.h"
 
 namespace approxmem::sort {
 namespace {
@@ -113,22 +111,6 @@ TEST_F(SortFixture, EdgeCaseInputs) {
   }
 }
 
-TEST_F(SortFixture, MergesortRespectsBaseRunOption) {
-  Rng rng(3);
-  const std::vector<uint32_t> keys = UniformKeys(500, rng);
-  approx::ApproxArrayU32 key_array = memory_.NewPreciseArray(keys.size());
-  key_array.Store(keys);
-  SortSpec spec;
-  spec.keys = &key_array;
-  spec.alloc_key_buffer = [this](size_t n) {
-    return memory_.NewPreciseArray(n);
-  };
-  MergesortOptions options;
-  options.base_run_elements = 16;
-  ASSERT_TRUE(Mergesort(spec, options).ok());
-  EXPECT_TRUE(sortedness::IsSorted(key_array.Snapshot()));
-}
-
 TEST_F(SortFixture, ValidateSpecRejectsMissingPieces) {
   SortSpec empty;
   EXPECT_FALSE(ValidateSpec(empty, false).ok());
@@ -153,11 +135,18 @@ TEST_F(SortFixture, RadixRejectsBadBitWidths) {
   spec.alloc_key_buffer = [this](size_t n) {
     return memory_.NewPreciseArray(n);
   };
-  LsdRadixOptions options;
-  options.bits = 0;
-  EXPECT_FALSE(LsdRadixSort(spec, options).ok());
-  options.bits = 17;
-  EXPECT_FALSE(LsdRadixSort(spec, options).ok());
+  using RadixEntry = Status (*)(SortSpec&, int);
+  const std::pair<const char*, RadixEntry> radix_sorts[] = {
+      {"lsd", LsdRadixSort},
+      {"msd", MsdRadixSort},
+      {"hlsd", LsdHistogramSort},
+      {"hmsd", MsdHistogramSort}};
+  for (const auto& [name, entry] : radix_sorts) {
+    for (const int bits : {0, 17}) {
+      EXPECT_EQ(entry(spec, bits).code(), StatusCode::kInvalidArgument)
+          << name << " bits=" << bits;
+    }
+  }
 }
 
 TEST_F(SortFixture, AlgorithmNamesMatchPaperLabels) {
@@ -249,69 +238,6 @@ TEST_F(SortFixture, HistogramRadixWritesLessThanQueueRadix) {
             count_writes({SortKind::kLsdRadix, 6}));
   EXPECT_LT(count_writes({SortKind::kMsdHistogram, 6}),
             count_writes({SortKind::kMsdRadix, 6}));
-}
-
-// LSD's write-combining scatter, on a memory with a strong sequential
-// discount so the access-pattern difference shows in the cost.
-approx::ApproxMemory::Options CombiningMemoryOptions() {
-  approx::ApproxMemory::Options options;
-  options.calibration_trials = 5000;
-  options.sequential_write_discount = 0.5;
-  return options;
-}
-
-TEST(WriteCombiningTest, LsdWithCombiningStillSortsExactly) {
-  approx::ApproxMemory memory(CombiningMemoryOptions());
-  const auto keys = core::MakeKeys(core::WorkloadKind::kUniform, 5000, 3);
-  for (const size_t chunk : {1u, 16u, 64u}) {
-    approx::ApproxArrayU32 array = memory.NewPreciseArray(keys.size());
-    array.Store(keys);
-    SortSpec spec;
-    spec.keys = &array;
-    spec.alloc_key_buffer = [&memory](size_t n) {
-      return memory.NewPreciseArray(n);
-    };
-    LsdRadixOptions options;
-    options.bits = 4;
-    options.write_combining = true;
-    options.combine_chunk_elements = chunk;
-    ASSERT_TRUE(LsdRadixSort(spec, options).ok());
-    const auto out = array.Snapshot();
-    EXPECT_TRUE(sortedness::IsSorted(out)) << "chunk=" << chunk;
-    EXPECT_TRUE(sortedness::IsPermutationOf(keys, out));
-  }
-}
-
-TEST(WriteCombiningTest, SameWriteCountDifferentCost) {
-  // Write combining does not change how many writes happen — only what
-  // they cost under the sequential discount.
-  approx::ApproxMemory memory(CombiningMemoryOptions());
-  const auto keys = core::MakeKeys(core::WorkloadKind::kUniform, 8000, 4);
-  auto run = [&](bool combine) {
-    approx::ApproxArrayU32 array = memory.NewPreciseArray(keys.size());
-    array.Store(keys);
-    array.ResetStats();
-    approx::MemoryStats scratch;
-    SortSpec spec;
-    spec.keys = &array;
-    spec.alloc_key_buffer = [&memory, &scratch](size_t n) {
-      approx::ApproxArrayU32 buffer = memory.NewPreciseArray(n);
-      buffer.SetStatsSink(&scratch);
-      return buffer;
-    };
-    LsdRadixOptions options;
-    options.bits = 6;
-    options.write_combining = combine;
-    EXPECT_TRUE(LsdRadixSort(spec, options).ok());
-    const approx::MemoryStats total = array.stats() + scratch;
-    return std::make_pair(total.word_writes, total.write_cost);
-  };
-  const auto [plain_writes, plain_cost] = run(false);
-  const auto [combined_writes, combined_cost] = run(true);
-  EXPECT_EQ(plain_writes, combined_writes);
-  // Plain LSD's drain writes are already sequential; combining additionally
-  // sequentializes nothing at the main array but must not cost more.
-  EXPECT_LE(combined_cost, plain_cost * 1.01);
 }
 
 }  // namespace

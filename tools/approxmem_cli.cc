@@ -64,14 +64,15 @@ constexpr char kUsage[] =
     "            repro and exits 1 on the first invariant violation)\n"
     "  serve     [--shards=4] [--threads=0] [--tenants=3] [--bursts=6]\n"
     "            [--burst_jobs=8] [--n_max=512] [--queue=64] [--quota=4]\n"
-    "            [--inject=0]  scripted request-trace driver for the\n"
-    "            multi-tenant sort service (service/sort_service.h): runs\n"
-    "            a deterministic bursty trace over up to three tenants on\n"
-    "            different backends and prints per-tenant ledgers,\n"
-    "            admission stats, virtual-time latency percentiles, and\n"
-    "            per-shard wear/quarantine; [--extsort_frac=0] makes that\n"
-    "            fraction of jobs out-of-core (core/job_plan.h plans under\n"
-    "            per-tenant MemoryBudget leases), [--cost_quota=0] caps\n"
+    "            [--max_deferrals=3] [--inject=0]  scripted request-trace\n"
+    "            driver for the multi-tenant sort service\n"
+    "            (service/sort_service.h): runs a deterministic bursty trace\n"
+    "            over up to three tenants on different backends and prints\n"
+    "            per-tenant ledgers, admission stats, virtual-time latency\n"
+    "            percentiles, and per-shard wear/quarantine;\n"
+    "            [--extsort_frac=0] makes that fraction of jobs\n"
+    "            out-of-core (core/job_plan.h plans under per-tenant\n"
+    "            MemoryBudget leases), [--cost_quota=0] caps\n"
     "            each tenant's Eq. 2 write cost per wear epoch (simulated\n"
     "            ns; over-quota jobs shed honestly), [--replay_check=0]\n"
     "            re-runs the trace at threads=1 and exits 1 unless every\n"
@@ -103,8 +104,9 @@ constexpr char kUsage[] =
     "        --workload=uniform|skewed|nearly_sorted|reversed|all_equal\n"
     "        --exact --sort_threads=K (intra-sort workers for the striped\n"
     "        radix passes; 1 = serial, <=0 = hardware; results identical\n"
-    "        at every K) --lsd_sqrt_arena (Radsort-style O(sqrt n) LSD\n"
-    "        scratch)\n"
+    "        at every K) --calibration_trials=N (Monte-Carlo trials per\n"
+    "        calibrated T) --help (this text); any flag not listed here\n"
+    "        exits 2\n"
     "algorithms: quicksort mergesort lsd3..lsd6 msd3..msd6 hlsd3..6 "
     "hmsd3..6\n";
 
@@ -329,7 +331,6 @@ testing::OracleReport RunResilientFuzzCase(
   engine_options.shared_calibration = cache;
   engine_options.health.enabled = true;
   engine_options.sort_threads = oracle_case.sort_threads;
-  engine_options.lsd_sqrt_arena = oracle_case.lsd_sqrt_arena;
   std::unique_ptr<testing::FaultInjector> injector;
   if (inject) {
     injector = std::make_unique<testing::FaultInjector>(
@@ -885,6 +886,11 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n%s", flags.status().ToString().c_str(), kUsage);
     return 2;
   }
+  const Status listed = flags->CheckListedIn(kUsage);
+  if (!listed.ok()) {
+    std::fprintf(stderr, "%s\n%s", listed.ToString().c_str(), kUsage);
+    return 2;
+  }
   const std::string cmd = flags->GetString("cmd", "");
   if (cmd.empty() || flags->Has("help")) {
     std::fputs(kUsage, stdout);
@@ -917,7 +923,6 @@ int Main(int argc, char** argv) {
     options.mode = approx::SimulationMode::kExact;
   }
   options.sort_threads = static_cast<int>(flags->GetInt("sort_threads", 1));
-  options.lsd_sqrt_arena = flags->GetBool("lsd_sqrt_arena", false);
   core::ApproxSortEngine engine(options);
 
   if (cmd == "calibrate") return Calibrate(engine, *flags);
