@@ -130,7 +130,7 @@ int RunSoak(const bench::BenchEnv& env, double seconds) {
   bool balanced = true;
   uint64_t quarantines = 0;
   for (int s = 0; s < options.shards; ++s) {
-    const service::WearPlacement& wear = *sort_service.shard_wear(s);
+    const service::WearPlacement& wear = sort_service.shard_wear(s);
     const approx::HealthStats health = sort_service.shard_health(s);
     const double imbalance = ByteImbalance(wear);
     if (imbalance > 2.0) balanced = false;

@@ -64,67 +64,43 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
   if (!health_.enabled()) {
     return make_array(place());
   }
-  if (options_.placement != nullptr) {
-    // Placement-policy path: the policy owns every cursor, so a quarantined
-    // candidate is reported to it (OnQuarantine) and the retry simply asks
-    // for a fresh placement — the policy routes it to another bank/region.
-    const uint32_t words = health_.options().canary_words;
-    for (int attempt = 0;; ++attempt) {
-      const uint64_t base = options_.placement->PlaceSpan(span);
-      health_.RecordRegionProbed();
-      const uint64_t tail_base = base + span - uint64_t{words} * 4u;
-      ApproxArrayU32 head(words, model, rng_.Split(), /*trace=*/nullptr, base,
-                          options_.sequential_write_discount,
-                          options_.fault_hook);
-      ApproxArrayU32 tail(words, model, rng_.Split(), /*trace=*/nullptr,
-                          tail_base, options_.sequential_write_discount,
-                          options_.fault_hook);
-      const uint64_t errors =
-          health_.ProbeSite(head) + health_.ProbeSite(tail);
-      const double observed =
-          words > 0 ? static_cast<double>(errors) / (2.0 * words) : 0.0;
-      if (health_.WithinThreshold(observed, model_word_error_rate) ||
-          attempt >= health_.options().max_alloc_retries) {
-        return make_array(base);
-      }
-      health_.RecordQuarantine(base, span);
-      health_.RecordRetry();
-      options_.placement->OnQuarantine(base, span);
-    }
-  }
-  // Canary-probe candidate regions; skip quarantined ones with a stride
-  // that doubles per consecutive failure so large degraded regions are
-  // escaped in O(log size) probes.
-  const uint32_t words = health_.options().canary_words;
+  // Canary-probe candidate regions. A quarantined candidate is reported to
+  // the placement policy (OnQuarantine), which owns every cursor and routes
+  // the retry to another bank/region; the bump allocator instead skips past
+  // it with a stride that doubles per consecutive failure, so large
+  // degraded regions are escaped in O(log size) probes.
+  constexpr uint32_t kWords = HealthMonitor::kCanaryWords;
   for (int attempt = 0;; ++attempt) {
-    const uint64_t base = next_base_address_;
+    const uint64_t base = place();
     health_.RecordRegionProbed();
-    // Sentinels interleave with the allocation: `words` canary words at the
+    // Sentinels interleave with the allocation: kWords canary words at the
     // region head (sharing the data array's first addresses) and at the
     // tail of the region's last page. Probe costs land in the monitor's own
     // ledger, never in the workload's.
-    const uint64_t tail_base = base + span - uint64_t{words} * 4u;
-    ApproxArrayU32 head(words, model, rng_.Split(), /*trace=*/nullptr, base,
+    const uint64_t tail_base = base + span - uint64_t{kWords} * 4u;
+    ApproxArrayU32 head(kWords, model, rng_.Split(), /*trace=*/nullptr, base,
                         options_.sequential_write_discount,
                         options_.fault_hook);
-    ApproxArrayU32 tail(words, model, rng_.Split(), /*trace=*/nullptr,
+    ApproxArrayU32 tail(kWords, model, rng_.Split(), /*trace=*/nullptr,
                         tail_base, options_.sequential_write_discount,
                         options_.fault_hook);
     const uint64_t errors =
         health_.ProbeSite(head) + health_.ProbeSite(tail);
-    const double observed =
-        words > 0 ? static_cast<double>(errors) / (2.0 * words) : 0.0;
+    const double observed = static_cast<double>(errors) / (2.0 * kWords);
     if (health_.WithinThreshold(observed, model_word_error_rate) ||
-        attempt >= health_.options().max_alloc_retries) {
-      next_base_address_ = base + span;
+        attempt >= HealthMonitor::kMaxAllocRetries) {
       return make_array(base);
     }
     health_.RecordQuarantine(base, span);
     health_.RecordRetry();
-    // Back off past the quarantined region, doubling the stride while
-    // consecutive candidates keep failing (capped to avoid overflow).
-    const int shift = attempt < 20 ? attempt : 20;
-    next_base_address_ = base + (span << shift);
+    if (options_.placement != nullptr) {
+      options_.placement->OnQuarantine(base, span);
+    } else {
+      // Back off past the quarantined region, doubling the stride while
+      // consecutive candidates keep failing (capped to avoid overflow).
+      const int shift = attempt < 20 ? attempt : 20;
+      next_base_address_ = base + (span << shift);
+    }
   }
 }
 

@@ -39,19 +39,6 @@ namespace approxmem::approx {
 /// paper's setup.
 struct HealthOptions {
   bool enabled = false;
-  /// Canary words written and read back per probe site; every allocation
-  /// probes two sites (head and tail of the candidate region).
-  uint32_t canary_words = 8;
-  /// Quarantine when the observed word-error rate exceeds
-  /// quarantine_factor * max(model word-error rate, error_floor).
-  double quarantine_factor = 8.0;
-  /// Absolute rate floor so near-zero model rates (precise memory, tight
-  /// T) do not quarantine a region over one unlucky canary.
-  double error_floor = 0.02;
-  /// Candidate regions tried before giving up and accepting the last one
-  /// (an allocation must always succeed; a persistently unhealthy address
-  /// space degrades to model-blind operation rather than failing).
-  int max_alloc_retries = 16;
 };
 
 /// Monitoring counters plus the probe-traffic cost ledger.
@@ -69,6 +56,20 @@ struct HealthStats {
 
 class HealthMonitor {
  public:
+  /// Canary words written and read back per probe site; every allocation
+  /// probes two sites (head and tail of the candidate region).
+  static constexpr uint32_t kCanaryWords = 8;
+  /// Quarantine when the observed word-error rate exceeds
+  /// kQuarantineFactor * max(model word-error rate, kErrorFloor).
+  static constexpr double kQuarantineFactor = 8.0;
+  /// Absolute rate floor so near-zero model rates (precise memory, tight
+  /// T) do not quarantine a region over one unlucky canary.
+  static constexpr double kErrorFloor = 0.02;
+  /// Candidate regions tried before giving up and accepting the last one
+  /// (an allocation must always succeed; a persistently unhealthy address
+  /// space degrades to model-blind operation rather than failing).
+  static constexpr int kMaxAllocRetries = 16;
+
   explicit HealthMonitor(const HealthOptions& options) : options_(options) {}
 
   bool enabled() const { return options_.enabled; }
@@ -85,8 +86,8 @@ class HealthMonitor {
   /// region whose calibrated model word-error rate is `model_rate`.
   bool WithinThreshold(double observed_rate, double model_rate) const {
     const double reference =
-        model_rate > options_.error_floor ? model_rate : options_.error_floor;
-    return observed_rate <= options_.quarantine_factor * reference;
+        model_rate > kErrorFloor ? model_rate : kErrorFloor;
+    return observed_rate <= kQuarantineFactor * reference;
   }
 
   /// Records [base, base + span) as degraded and excluded from allocation.

@@ -7,13 +7,14 @@
 namespace approxmem::approx {
 
 Status SpintronicConfig::Validate() const {
-  if (bit_error_prob < 0.0 || bit_error_prob >= 1.0) {
+  // Every range check below is written as !(in range) so a NaN fails it.
+  if (!(bit_error_prob >= 0.0 && bit_error_prob < 1.0)) {
     return Status::InvalidArgument("bit_error_prob must be in [0, 1)");
   }
-  if (energy_saving_per_write < 0.0 || energy_saving_per_write >= 1.0) {
+  if (!(energy_saving_per_write >= 0.0 && energy_saving_per_write < 1.0)) {
     return Status::InvalidArgument("energy_saving_per_write must be in [0,1)");
   }
-  if (precise_write_energy <= 0.0 || read_energy < 0.0) {
+  if (!(precise_write_energy > 0.0 && read_energy >= 0.0)) {
     return Status::InvalidArgument("energies must be positive");
   }
   return Status::Ok();

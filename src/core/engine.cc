@@ -6,29 +6,9 @@
 #include "refine/cost_model.h"
 
 namespace approxmem::core {
-namespace {
-
-approx::ApproxMemory::Options ToMemoryOptions(const EngineOptions& options) {
-  approx::ApproxMemory::Options memory_options;
-  memory_options.backend = options.backend;
-  memory_options.mlc = options.mlc;
-  memory_options.mode = options.mode;
-  memory_options.calibration_trials = options.calibration_trials;
-  memory_options.seed = options.seed;
-  memory_options.shared_calibration = options.shared_calibration;
-  memory_options.sequential_write_discount =
-      options.sequential_write_discount;
-  memory_options.trace = options.trace;
-  memory_options.fault_hook = options.fault_hook;
-  memory_options.health = options.health;
-  memory_options.placement = options.placement;
-  return memory_options;
-}
-
-}  // namespace
 
 ApproxSortEngine::ApproxSortEngine(const EngineOptions& options)
-    : options_(options), memory_(ToMemoryOptions(options)) {}
+    : options_(options), memory_(options) {}
 
 sort::SortTuning ApproxSortEngine::SortTuningForRuns() {
   sort::SortTuning tuning;

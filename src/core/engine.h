@@ -18,6 +18,10 @@
 // The Appendix A spintronic experiments are the same calls with
 // backend = "spintronic" and the knob set to a per-bit error probability.
 //
+// EngineOptions is approx::ApproxMemory::Options plus the intra-sort thread
+// settings, so each memory setting is declared once, in approx_memory.h,
+// and reaches the substrate as given (memory().options()).
+//
 // Quickstart:
 //   core::ApproxSortEngine engine({});
 //   auto keys = core::MakeKeys(core::WorkloadKind::kUniform, 1 << 20, 7);
@@ -29,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "approx/approx_memory.h"
@@ -42,35 +45,11 @@
 namespace approxmem::core {
 
 /// Engine-wide configuration; defaults reproduce the paper's Tables 1-2.
-struct EngineOptions {
-  /// Registry name of the memory technology (see approx/memory_backend.h);
-  /// every allocation the engine makes goes through this backend.
-  std::string backend = std::string(approx::kPcmBackendName);
-  mlc::MlcConfig mlc;
-  approx::SimulationMode mode = approx::SimulationMode::kFast;
-  uint64_t calibration_trials = 200000;
-  uint64_t seed = 42;
-  /// Optional calibration cache shared between engines (thread-safe; see
-  /// approx::ApproxMemory::Options::shared_calibration). A parallel sweep
-  /// gives every (algorithm x T) cell its own engine/seed but one shared
-  /// cache, so each T calibrates once and results stay deterministic.
-  std::shared_ptr<mlc::CalibrationCache> shared_calibration;
-  /// See approx::ApproxMemory::Options::sequential_write_discount; 1.0
-  /// reproduces the paper's uniform write-latency model.
-  double sequential_write_discount = 1.0;
-  /// Optional trace sink recording every array access for replay through
-  /// mem::MemorySystem (used by the differential oracle's conservation
-  /// check). Not owned.
-  mem::TraceBuffer* trace = nullptr;
-  /// Optional fault-injection hook (see approx/fault_hook.h). Not owned.
-  approx::MemoryFaultHook* fault_hook = nullptr;
-  /// Online substrate health monitoring: allocation-time canary probes and
-  /// region quarantine (see approx/health_monitor.h). Off by default so
-  /// unmonitored experiments keep their exact RNG stream assignment.
-  approx::HealthOptions health;
-  /// Optional allocation-placement policy (wear-aware bank rotation in the
-  /// service layer); null keeps the bump allocator. Not owned.
-  approx::PlacementPolicy* placement = nullptr;
+/// The memory fields (backend, mlc, mode, seed, calibration, trace, fault
+/// hook, health monitoring, placement) are approx::ApproxMemory::Options
+/// itself, handed to the engine's hybrid memory unchanged; only the
+/// intra-sort parallelism below is the engine's own.
+struct EngineOptions : approx::ApproxMemory::Options {
   /// Intra-sort parallelism: worker threads for the striped radix passes
   /// (1 = serial). Output, write counts, and cost ledgers are identical at
   /// any setting — only wall-clock changes. <= 0 means hardware

@@ -172,7 +172,7 @@ StatusOr<ResilienceReport> SortResilient(
       last = full_attempt(AttemptPolicy::kGuardBandEscalation, current_t,
                           ladder_rng.Split().Next64(),
                           /*precise_domain=*/false);
-    } else if (options.allow_precise_fallback && !fell_back) {
+    } else if (!fell_back) {
       fell_back = true;
       last = full_attempt(AttemptPolicy::kPreciseFallback, precise_t,
                           ladder_rng.Split().Next64(),

@@ -54,9 +54,8 @@ enum class AttemptPolicy : uint8_t {
 /// "INITIAL", "REFINE_RETRY", "GUARD_BAND_ESCALATION", "PRECISE_FALLBACK".
 std::string_view AttemptPolicyName(AttemptPolicy policy);
 
-/// Ladder bounds; the defaults give at most
-/// (1 + max_escalations + 1 fallback) full runs, each with up to
-/// max_refine_retries refine-only re-runs.
+/// Ladder bounds: at most (1 + max_escalations + 1 precise fallback) full
+/// runs, each with up to max_refine_retries refine-only re-runs.
 struct ResilienceOptions {
   /// Refine-only re-runs per full attempt (rung 1).
   int max_refine_retries = 1;
@@ -69,8 +68,6 @@ struct ResilienceOptions {
   /// the precise half-width 0.025 on the PCM backends, the most
   /// conservative paper operating point 1e-7 on spintronic.
   double min_t = std::numeric_limits<double>::quiet_NaN();
-  /// Whether rung 3 (fully precise re-run) is available.
-  bool allow_precise_fallback = true;
   /// End-of-life interaction: when the health monitor quarantined new
   /// regions *during* a failed attempt, the substrate visibly degraded
   /// under it — re-reading the same placement (rung 1) cannot cure

@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/memory_budget.h"
 #include "extsort/loser_tree.h"
 #include "refine/approx_refine.h"
 #include "sortedness/measures.h"
@@ -228,20 +229,19 @@ RunExtent MergeGroup(AsyncDevice& device, const std::vector<RunExtent>& runs,
 
 Status ExternalSortOptions::Validate() const {
   // t only drives the approx stage; the precise configuration (and a
-  // precise backend, whose knob is 0) never reads it.
-  if (use_approx_refine && t <= 0.0) {
+  // precise backend, whose knob is 0) never reads it. Written so that a NaN
+  // t fails too.
+  if (use_approx_refine && !(t > 0.0)) {
     return Status::InvalidArgument("t must be positive");
   }
-  const size_t budget_bytes =
-      budget != nullptr ? budget->capacity() : memory_budget_bytes;
-  if (budget_bytes == 0 && run_elements == 0) {
+  if (memory_budget_bytes == 0 && run_elements == 0) {
     return Status::InvalidArgument(
         "an unlimited budget requires an explicit run_elements");
   }
   const size_t run_footprint = record_payloads
                                    ? kRecordRunFootprintBytesPerElement
                                    : kRunFootprintBytesPerElement;
-  if (run_elements == 0 && budget_bytes < 2 * run_footprint) {
+  if (run_elements == 0 && memory_budget_bytes < 2 * run_footprint) {
     return Status::InvalidArgument(
         "memory budget below the working set of a 2-element run");
   }
@@ -262,10 +262,10 @@ StatusOr<ExternalSortReport> ExternalSort(core::ApproxSortEngine& engine,
   const Status valid = options.Validate();
   if (!valid.ok()) return valid;
 
-  MemoryBudget local_budget(options.memory_budget_bytes);
-  MemoryBudget* budget =
-      options.budget != nullptr ? options.budget : &local_budget;
-  const Sizing sizing = DeriveSizing(options, device, budget->capacity());
+  MemoryBudget working_memory(options.memory_budget_bytes);
+  MemoryBudget* budget = &working_memory;
+  const Sizing sizing =
+      DeriveSizing(options, device, options.memory_budget_bytes);
 
   ExternalSortReport report;
   report.n = device.FileSize(input_file);

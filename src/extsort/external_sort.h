@@ -28,7 +28,6 @@
 #include <cstdint>
 
 #include "approx/memory_stats.h"
-#include "common/memory_budget.h"
 #include "common/status.h"
 #include "core/engine.h"
 #include "extsort/async_device.h"
@@ -65,9 +64,6 @@ struct ExternalSortOptions {
   /// Total modeled working memory for both phases. Run size and merge
   /// fan-in are derived from this unless overridden below.
   size_t memory_budget_bytes = 8u << 20;
-  /// Optional externally owned budget (e.g. shared across concurrent
-  /// sorts); when null, an internal budget of memory_budget_bytes is used.
-  MemoryBudget* budget = nullptr;
   /// Algorithm for the in-memory sorts.
   sort::AlgorithmId algorithm{sort::SortKind::kLsdRadix, 3};
   /// Guard-band half-width (backend knob) for the approx stage.

@@ -40,7 +40,6 @@ core::JobOutcome ExtsortJobPlan::Execute(const core::JobContext& context) {
   sort_options.use_approx_refine = context.knob > 0.0;
   sort_options.record_payloads = true;
   sort_options.stream_salt = stream_salt;
-  sort_options.verify = options_.verify;
 
   AsyncDevice device(options_.device, nullptr);
   const int input = StageInput(device, keys);
@@ -80,29 +79,25 @@ core::JobOutcome ExtsortJobPlan::Execute(const core::JobContext& context) {
   outcome.keys_digest = core::VectorDigest(out_keys);
   outcome.ids_digest = core::VectorDigest(out_ids);
 
-  if (options_.baseline) {
-    // Equation 2's denominator: the identical pipeline with precise
-    // in-memory sorts, on a throwaway device so its traffic never leaks
-    // into the approx configuration's ledger.
-    ExternalSortOptions baseline_options = sort_options;
-    baseline_options.use_approx_refine = false;
-    baseline_options.verify = false;
-    AsyncDevice baseline_device(options_.device, nullptr);
-    const int baseline_input =
-        StageInput(baseline_device, core::MakeKeys(job_.workload, job_.n,
-                                                   job_.seed));
-    const StatusOr<ExternalSortReport> baseline = ExternalSort(
-        engine, baseline_device, baseline_input, baseline_options, nullptr);
-    if (!baseline.ok()) {
-      outcome.status = baseline.status();
-      outcome.verified = false;
-      return outcome;
-    }
-    outcome.baseline_write_cost = baseline->memory_write_cost;
-    if (outcome.baseline_write_cost > 0.0) {
-      outcome.write_reduction =
-          1.0 - outcome.cost.write_cost / outcome.baseline_write_cost;
-    }
+  // Equation 2's denominator: the identical pipeline with precise
+  // in-memory sorts, on a throwaway device so its traffic never leaks
+  // into the approx configuration's ledger.
+  ExternalSortOptions baseline_options = sort_options;
+  baseline_options.use_approx_refine = false;
+  baseline_options.verify = false;
+  AsyncDevice baseline_device(options_.device, nullptr);
+  const int baseline_input = StageInput(baseline_device, keys);
+  const StatusOr<ExternalSortReport> baseline = ExternalSort(
+      engine, baseline_device, baseline_input, baseline_options, nullptr);
+  if (!baseline.ok()) {
+    outcome.status = baseline.status();
+    outcome.verified = false;
+    return outcome;
+  }
+  outcome.baseline_write_cost = baseline->memory_write_cost;
+  if (outcome.baseline_write_cost > 0.0) {
+    outcome.write_reduction =
+        1.0 - outcome.cost.write_cost / outcome.baseline_write_cost;
   }
   return outcome;
 }

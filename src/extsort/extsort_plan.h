@@ -42,12 +42,6 @@ struct ExtsortPlanOptions {
   size_t lease_bytes = 512u << 10;
   /// Geometry and timing of the job's modeled block device.
   AsyncDeviceConfig device;
-  /// Skip the precise-configuration baseline run (Equation 2 then reports
-  /// 0 reduction). The service keeps it on; sweeps that only gate on
-  /// digests can turn it off.
-  bool baseline = true;
-  /// Skip the output permutation-certificate check (digest gates only).
-  bool verify = true;
 };
 
 class ExtsortJobPlan : public core::JobPlan {

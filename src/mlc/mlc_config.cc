@@ -38,25 +38,26 @@ Status MlcConfig::Validate() const {
   if (32 % BitsPerCell() != 0) {
     return Status::InvalidArgument("bits per cell must divide 32");
   }
-  if (t_width <= 0.0 || t_width >= MaxTWidth(levels)) {
+  // Every range check below is written as !(in range) so a NaN fails it.
+  if (!(t_width > 0.0 && t_width < MaxTWidth(levels))) {
     return Status::InvalidArgument("t_width must be in (0, 1/(2*levels))");
   }
-  if (precise_t_width <= 0.0 || precise_t_width >= MaxTWidth(levels)) {
+  if (!(precise_t_width > 0.0 && precise_t_width < MaxTWidth(levels))) {
     return Status::InvalidArgument("precise_t_width out of range");
   }
-  if (beta <= 0.0 || beta >= 1.0) {
+  if (!(beta > 0.0 && beta < 1.0)) {
     return Status::InvalidArgument("beta must be in (0, 1)");
   }
-  if (drift_sigma_per_decade < 0.0 || drift_mu_per_decade < 0.0) {
+  if (!(drift_sigma_per_decade >= 0.0 && drift_mu_per_decade >= 0.0)) {
     return Status::InvalidArgument("drift parameters must be non-negative");
   }
-  if (elapsed_seconds < 1.0) {
+  if (!(elapsed_seconds >= 1.0)) {
     return Status::InvalidArgument("elapsed_seconds must be >= 1");
   }
   if (max_pv_iterations == 0) {
     return Status::InvalidArgument("max_pv_iterations must be positive");
   }
-  if (precise_write_latency_ns <= 0.0 || read_latency_ns <= 0.0) {
+  if (!(precise_write_latency_ns > 0.0 && read_latency_ns > 0.0)) {
     return Status::InvalidArgument("latencies must be positive");
   }
   return Status::Ok();

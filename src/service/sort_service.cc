@@ -21,6 +21,15 @@ uint64_t DigestDouble(uint64_t h, double value) {
   return Fnv1a64(&value, sizeof(value), h);
 }
 
+/// Admission quota of a shard that is cooling down after its previous job
+/// climbed the resilience ladder or finished unverified.
+constexpr int kCooldownAdmit = 1;
+
+/// Knob multiplier applied per escalation level of the most-aged live bank
+/// on a job's shard — graceful degradation toward precise for tenants
+/// placed on aged substrate.
+constexpr double kAgingKnobFactor = 0.5;
+
 }  // namespace
 
 uint64_t ShardEngineSeed(uint64_t service_seed, int shard,
@@ -101,20 +110,17 @@ SortService::SortService(const ServiceOptions& options)
   for (int s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
-    if (options_.wear_leveling) {
-      if (options_.endurance.enabled) {
-        // Endurance needs the placement charges as its wear feed, so it
-        // only exists under wear leveling; geometry comes from the
-        // placement policy so ledger banks and placement lanes agree.
-        approx::EnduranceOptions endurance = options_.endurance;
-        endurance.banks = options_.wear.banks;
-        endurance.bank_lane_bytes = WearPlacement::kBankLaneBytes;
-        shard->endurance =
-            std::make_unique<approx::EnduranceLedger>(endurance);
-      }
-      shard->wear = std::make_unique<WearPlacement>(
-          options_.wear, shard->endurance.get());
+    if (options_.endurance.enabled) {
+      // Endurance takes the placement charges as its wear feed; geometry
+      // comes from the placement policy so ledger banks and placement
+      // lanes agree.
+      approx::EnduranceOptions endurance = options_.endurance;
+      endurance.banks = options_.wear.banks;
+      endurance.bank_lane_bytes = WearPlacement::kBankLaneBytes;
+      shard->endurance = std::make_unique<approx::EnduranceLedger>(endurance);
     }
+    shard->wear = std::make_unique<WearPlacement>(options_.wear,
+                                                  shard->endurance.get());
     if (options_.fault_hook_factory) {
       shard->fault_hook = options_.fault_hook_factory(s);
     }
@@ -278,7 +284,7 @@ size_t SortService::RunBatch() {
       }
     }
     if (shards_[s]->cooling) {
-      quota[s] = std::min(options_.admission.cooldown_admit, capacity_quota);
+      quota[s] = std::min(kCooldownAdmit, capacity_quota);
       ++stats_.cooldown_batches;
     } else {
       quota[s] = capacity_quota;
@@ -462,7 +468,7 @@ core::ApproxSortEngine& SortService::EngineFor(Shard& shard,
   engine_options.seed = ShardEngineSeed(options_.seed, shard.index, tenant);
   engine_options.calibration_trials = options_.calibration_trials;
   engine_options.shared_calibration = calibration_;
-  engine_options.health.enabled = options_.health_monitor;
+  engine_options.health.enabled = true;
   engine_options.placement = shard.wear.get();
   engine_options.fault_hook = shard.wear_hook
                                   ? shard.wear_hook.get()
@@ -506,7 +512,7 @@ void SortService::RunJob(Shard& shard, uint64_t ticket) {
   }
   core::ApproxSortEngine& engine = EngineFor(shard, tenant);
   approx::ApproxMemory& memory = engine.memory();
-  if (shard.wear) shard.wear->BeginJob();
+  shard.wear->BeginJob();
   if (shard.wear_hook) shard.wear_hook->BeginJob(ticket);
   double knob = std::isnan(tenant.knob)
                     ? memory.backend().default_approx_knob()
@@ -518,7 +524,7 @@ void SortService::RunJob(Shard& shard, uint64_t ticket) {
     const int level = shard.endurance->MaxLiveEscalationLevel();
     if (level > 0) {
       knob = std::max(memory.backend().min_knob(),
-                      knob * std::pow(options_.aging_knob_factor, level));
+                      knob * std::pow(kAgingKnobFactor, level));
     }
   }
   record.effective_knob = knob;
@@ -531,29 +537,17 @@ void SortService::RunJob(Shard& shard, uint64_t ticket) {
   // re-reading the same placement cannot cure it (see resilience.h).
   if (shard.endurance) context.resilience.skip_retry_on_quarantine = true;
 
-  core::JobOutcome outcome;
+  core::JobOutcome& outcome = record;
   if (record.request.job_class == core::JobClass::kExtSort) {
-    extsort::ExtsortJobPlan plan(record.request, tenant.extsort);
-    outcome = plan.Execute(context);
+    outcome = extsort::ExtsortJobPlan(record.request, tenant.extsort)
+                  .Execute(context);
   } else {
-    core::InMemoryJobPlan plan(record.request);
-    outcome = plan.Execute(context);
+    outcome = core::InMemoryJobPlan(record.request).Execute(context);
   }
-  record.status = outcome.status;
-  record.verified = outcome.verified;
-  record.attempts = outcome.attempts;
-  record.keys_digest = outcome.keys_digest;
-  record.ids_digest = outcome.ids_digest;
-  record.cost = outcome.cost;
-  record.baseline_write_cost = outcome.baseline_write_cost;
-  record.write_reduction = outcome.write_reduction;
-  record.service_us = outcome.service_us;
-  record.bytes_spilled = outcome.bytes_spilled;
-  record.merge_passes = outcome.merge_passes;
-  record.state = outcome.status.ok() && outcome.verified
+  record.state = record.status.ok() && record.verified
                      ? JobState::kCompleted
                      : JobState::kFailed;
-  if (shard.wear) shard.wear->ChargeJobCost(record.cost.pv_iterations);
+  shard.wear->ChargeJobCost(record.cost.pv_iterations);
   record.latency_seconds = NowSeconds() - submit_time_[ticket];
 }
 
@@ -604,10 +598,10 @@ double SortService::tenant_epoch_cost(const std::string& tenant,
   return cost != it->second.epoch_write_cost.end() ? cost->second : 0.0;
 }
 
-const WearPlacement* SortService::shard_wear(int shard) const {
+const WearPlacement& SortService::shard_wear(int shard) const {
   APPROXMEM_CHECK(shard >= 0 &&
                   shard < static_cast<int>(shards_.size()));
-  return shards_[static_cast<size_t>(shard)]->wear.get();
+  return *shards_[static_cast<size_t>(shard)]->wear;
 }
 
 const approx::EnduranceLedger* SortService::shard_endurance(

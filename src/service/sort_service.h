@@ -48,8 +48,8 @@
 //
 // Admission control. The backlog is bounded (queue_capacity): submissions
 // beyond it are shed immediately with an honest Unavailable status.
-// Each batch, a shard admits at most shard_batch_quota jobs — or
-// cooldown_admit jobs while it is cooling down because its previous job
+// Each batch, a shard admits at most shard_batch_quota jobs — or one job
+// (kCooldownAdmit) while it is cooling down because its previous job
 // climbed the PR-3 resilience ladder (retry/escalation/fallback) or
 // finished unverified. Jobs that find no shard quota are deferred to the
 // next batch; after max_deferrals deferrals they are shed, again with an
@@ -155,8 +155,11 @@ enum class JobState : uint8_t {
 
 std::string_view JobStateName(JobState state);
 
-/// Everything the service knows about one submitted job.
-struct JobRecord {
+/// Everything the service knows about one submitted job: the plan's
+/// outcome (status, digests, cost ledger, Eq. 2, virtual service time and
+/// the out-of-core extras; OK and zero until the job ran) plus the
+/// scheduling record below.
+struct JobRecord : core::JobOutcome {
   uint64_t ticket = 0;
   SortRequest request;
   JobState state = JobState::kQueued;
@@ -165,19 +168,6 @@ struct JobRecord {
   /// Batch index the job executed in; -1 until admitted.
   int batch = -1;
   int deferrals = 0;
-  Status status;
-  bool verified = false;
-  /// Resilience-ladder attempts the job consumed (1 = first try verified).
-  size_t attempts = 0;
-  /// FNV-1a digests of the final keys / final IDs (0 until completed).
-  uint64_t keys_digest = 0;
-  uint64_t ids_digest = 0;
-  /// The job's honest cumulative cost: every attempt plus canary traffic.
-  approx::MemoryStats cost;
-  /// Precise-baseline write cost (Equation 2's denominator).
-  double baseline_write_cost = 0.0;
-  /// Equation 2 over the job's cumulative cost.
-  double write_reduction = 0.0;
   /// Wear epoch of the shard substrate the job ran in (retirements so far
   /// when the job started; 0 on a fresh or endurance-less substrate).
   uint64_t wear_epoch = 0;
@@ -192,13 +182,6 @@ struct JobRecord {
   /// clock, µs (see the virtual-time paragraph above). Replays
   /// bit-identically at any thread count.
   double virtual_latency_us = 0.0;
-  /// Modeled service time the job contributed to its shard's virtual
-  /// queue, µs (0 for jobs that never ran).
-  double service_us = 0.0;
-  /// Out-of-core extras, zero for in-memory jobs: device bytes written
-  /// beyond the final output, and merge passes beyond run formation.
-  uint64_t bytes_spilled = 0;
-  size_t merge_passes = 0;
 };
 
 /// Per-tenant cumulative accounting, merged from job records on report.
@@ -229,12 +212,10 @@ struct AdmissionOptions {
   /// beyond it are shed at once. The property suite asserts the backlog
   /// high-water mark never exceeds this.
   size_t queue_capacity = 64;
-  /// Jobs one shard may admit per batch.
+  /// Jobs one shard may admit per batch (a shard cooling down after its
+  /// previous job climbed the resilience ladder or finished unverified
+  /// admits one).
   int shard_batch_quota = 4;
-  /// Admission quota of a shard that is cooling down after its previous
-  /// job climbed the resilience ladder or finished unverified. 0 defers
-  /// everything away from the shard for one batch.
-  int cooldown_admit = 1;
   /// Deferrals a job survives before admission control sheds it.
   int max_deferrals = 3;
 };
@@ -247,22 +228,17 @@ struct ServiceOptions {
   uint64_t seed = 42;
   uint64_t calibration_trials = 20000;
   AdmissionOptions admission;
-  /// Online health monitoring (canary probes + quarantine) on every shard
-  /// engine. On by default: a service must notice a degrading substrate.
-  bool health_monitor = true;
-  /// Wear-aware bank rotation on every shard substrate.
-  bool wear_leveling = true;
+  /// Wear-aware bank rotation, always on for every shard substrate (as is
+  /// online health monitoring — canary probes and quarantine — on every
+  /// shard engine: a service must notice a degrading substrate).
   WearLevelOptions wear;
   /// Device-lifetime modeling: per-bank P&V budgets, wear-dependent error
-  /// escalation, and bank retirement (approx/endurance.h). Requires
-  /// wear_leveling (the ledger is fed by placement's job charges); the
-  /// banks/lane geometry is taken from `wear`, so leave
-  /// endurance.banks/bank_lane_bytes at their defaults.
+  /// escalation, and bank retirement (approx/endurance.h), fed by the
+  /// wear placement's job charges; the banks/lane geometry is taken from
+  /// `wear`, so leave endurance.banks/bank_lane_bytes at their defaults.
+  /// As a shard's banks age, its tenants' knobs halve per escalation level
+  /// of the most-aged live bank (floored at the backend's min_knob).
   approx::EnduranceOptions endurance;
-  /// Knob multiplier applied per escalation level of the most-aged live
-  /// bank on a job's shard — graceful degradation toward precise for
-  /// tenants placed on aged substrate. Floored at the backend's min_knob.
-  double aging_knob_factor = 0.5;
   /// Optional shared calibration cache (thread-safe); when null the
   /// service builds one, shared by all shard engines, so each T still
   /// calibrates exactly once per process.
@@ -336,8 +312,8 @@ class SortService {
   const ServiceStats& stats() const { return stats_; }
   const ServiceOptions& options() const { return options_; }
 
-  /// Shard s's wear ledger (null when wear_leveling is off).
-  const WearPlacement* shard_wear(int shard) const;
+  /// Shard s's wear ledger.
+  const WearPlacement& shard_wear(int shard) const;
   /// Aggregated health-monitor counters across shard `shard`'s engines.
   approx::HealthStats shard_health(int shard) const;
   /// Shard s's endurance ledger (null when endurance is off).

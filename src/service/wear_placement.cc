@@ -63,7 +63,7 @@ void WearPlacement::OnQuarantine(uint64_t base, uint64_t span) {
   const int b = BankOf(base);
   BankWear& bank = banks_[static_cast<size_t>(b)];
   ++bank.quarantined_regions;
-  bank.wear += options_.quarantine_wear_penalty;
+  bank.wear += kQuarantineWearPenalty;
   ++quarantine_events_;
   if (endurance_ != nullptr) endurance_->RecordQuarantine(b);
   // The quarantined span was already consumed by PlaceSpan, so the lane

@@ -37,10 +37,6 @@ namespace approxmem::service {
 struct WearLevelOptions {
   /// Bank lanes the address space is carved into.
   int banks = 8;
-  /// Wear units (P&V iterations) added to a bank per quarantined region,
-  /// steering rotation away from substrate neighborhoods the health
-  /// monitor flagged.
-  double quarantine_wear_penalty = 10000.0;
 };
 
 /// Per-bank wear accounting.
@@ -107,6 +103,10 @@ class WearPlacement final : public approx::PlacementPolicy {
   /// Width of one bank lane in the flat simulated space (1 TiB: far more
   /// than any soak run allocates, so a lane never overflows).
   static constexpr uint64_t kBankLaneBytes = uint64_t{1} << 40;
+  /// Wear units (P&V iterations) added to a bank per quarantined region,
+  /// steering rotation away from substrate neighborhoods the health
+  /// monitor flagged.
+  static constexpr double kQuarantineWearPenalty = 10000.0;
 
  private:
   WearLevelOptions options_;

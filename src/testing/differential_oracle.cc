@@ -62,7 +62,6 @@ OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
   mem::TraceBuffer trace;
   core::EngineOptions engine_options;
   engine_options.calibration_trials = options.calibration_trials;
-  engine_options.mode = options.mode;
   engine_options.seed = oracle_case.seed;
   engine_options.shared_calibration = options.shared_calibration;
   engine_options.sort_threads = oracle_case.sort_threads;
@@ -137,8 +136,7 @@ OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
     }
   }
 
-  if (oracle_case.paper_t == 0 && options.check_bit_identical_at_t0 &&
-      options.injector == nullptr) {
+  if (oracle_case.paper_t == 0 && options.injector == nullptr) {
     std::vector<uint32_t> approx_output;
     const auto only = engine.SortApproxOnly(input, oracle_case.algorithm, t,
                                             &approx_output);

@@ -11,9 +11,10 @@
 //   keys-match-ids           finalKey[i] == input[finalID[i]];
 //   precise-cost-accounting  every precise-domain ledger costs exactly
 //                            (writes x 1 us + reads x 50 ns), uncorrupted;
-//   t0-bit-identical         at the precise operating point the approx-only
-//                            sort output already equals the golden keys
-//                            with zero corrupted writes;
+//   t0-bit-identical         at the precise operating point (and with no
+//                            injector attached) the approx-only sort output
+//                            already equals the golden keys with zero
+//                            corrupted writes;
 //   trace-conservation       replaying the access trace through
 //                            mem::MemorySystem conserves accesses across
 //                            the cache hierarchy and PCM (hits + misses ==
@@ -30,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "approx/approx_memory.h"
 #include "mlc/calibration.h"
 #include "sort/sort_common.h"
 #include "testing/fault_injection.h"
@@ -59,7 +59,6 @@ struct OracleCase {
 struct OracleOptions {
   /// Monte-Carlo trials per calibration; small values keep the suite fast.
   uint64_t calibration_trials = 5000;
-  approx::SimulationMode mode = approx::SimulationMode::kFast;
   /// Share one cache across many cases so each T calibrates once.
   std::shared_ptr<mlc::CalibrationCache> shared_calibration;
   /// Optional fault injector attached to the engine. Not owned.
@@ -67,9 +66,6 @@ struct OracleOptions {
   /// Replay the full access trace through mem::MemorySystem and check
   /// conservation. Costs memory proportional to the access count.
   bool check_trace_conservation = false;
-  /// Run the approx-only bit-identical check when paper_t == 0 and no
-  /// injector is attached.
-  bool check_bit_identical_at_t0 = true;
 };
 
 /// One violated invariant.

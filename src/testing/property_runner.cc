@@ -1,6 +1,7 @@
 #include "testing/property_runner.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/hash.h"
@@ -64,10 +65,9 @@ OracleCase MakeRandomCase(const RunnerOptions& options, uint64_t index) {
       options.t_labels[rng.UniformInt(options.t_labels.size())];
   oracle_case.algorithm = algorithms[rng.UniformInt(algorithms.size())];
   oracle_case.shape = shapes[rng.UniformInt(shapes.size())];
-  if (!options.sort_thread_pool.empty()) {
-    oracle_case.sort_threads = options.sort_thread_pool[rng.UniformInt(
-        options.sort_thread_pool.size())];
-  }
+  constexpr int kSortThreads[] = {1, 2, 4};
+  oracle_case.sort_threads =
+      kSortThreads[rng.UniformInt(std::size(kSortThreads))];
   return oracle_case;
 }
 
@@ -114,12 +114,8 @@ RunnerResult RunCases(const RunnerOptions& options,
   }
 
   if (!result.failures.empty()) {
-    if (options.shrink) {
-      result.minimized = ShrinkFailure(result.failures.front().oracle_case,
-                                       check, options.max_shrink_steps);
-    } else {
-      result.minimized = result.failures.front();
-    }
+    result.minimized = ShrinkFailure(result.failures.front().oracle_case,
+                                     check, kMaxShrinkSteps);
   }
   return result;
 }

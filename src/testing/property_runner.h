@@ -25,15 +25,15 @@ namespace approxmem::testing {
 /// RunDifferentialOracle with fixed OracleOptions.
 using CaseCheck = std::function<OracleReport(const OracleCase&)>;
 
+/// Candidate checks RunCases spends greedily minimizing its first failure.
+inline constexpr size_t kMaxShrinkSteps = 64;
+
 struct RunnerOptions {
   /// Root seed for random case generation (and each case's engine seed).
   uint64_t seed = 1;
   /// Total concurrency: 1 runs everything inline (exact serial execution),
   /// 0 uses hardware concurrency. Verdicts are identical either way.
   int threads = 1;
-  /// Greedily minimize the first failing case before reporting it.
-  bool shrink = true;
-  size_t max_shrink_steps = 64;
 
   /// The pools MakeRandomCase draws from.
   size_t min_n = 4;
@@ -41,9 +41,6 @@ struct RunnerOptions {
   std::vector<int> t_labels = {0, 30, 55, 100};
   std::vector<sort::AlgorithmId> algorithms;  // Empty = StudyAlgorithms().
   std::vector<InputShape> shapes;             // Empty = AllShapes().
-  /// Intra-sort thread counts MakeRandomCase draws from (empty keeps the
-  /// default of 1). Any value must give the same verdict and digest.
-  std::vector<int> sort_thread_pool = {1, 2, 4};
 };
 
 struct RunnerResult {
@@ -53,8 +50,8 @@ struct RunnerResult {
   uint64_t digest = 0;
   /// Reports of failing cases, in index order (pre-shrink).
   std::vector<OracleReport> failures;
-  /// The first failure after shrinking, when any case failed and
-  /// RunnerOptions.shrink is set; otherwise the first failure as-is.
+  /// The first failure after shrinking (ShrinkFailure, kMaxShrinkSteps),
+  /// when any case failed.
   std::optional<OracleReport> minimized;
 
   bool ok() const { return cases_failed == 0; }
@@ -68,7 +65,9 @@ struct RunnerResult {
 /// ones the paper benchmarks.
 const std::vector<sort::AlgorithmId>& AllKindAlgorithms();
 
-/// The deterministic random case at (options.seed, index).
+/// The deterministic random case at (options.seed, index); its
+/// sort_threads is drawn from {1, 2, 4}, any of which must give the same
+/// verdict and digest.
 OracleCase MakeRandomCase(const RunnerOptions& options, uint64_t index);
 
 /// Runs an explicit case list (e.g. a full shape x T x algorithm matrix).

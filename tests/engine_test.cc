@@ -1,11 +1,15 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "approx/spintronic.h"
 #include "core/workload.h"
+#include "mem/trace.h"
+#include "testing/fault_injection.h"
 
 namespace approxmem::core {
 namespace {
@@ -99,6 +103,74 @@ TEST(EngineTest, RefineMergesortNeverWins) {
     EXPECT_TRUE(outcome->refine.verified());
     EXPECT_LT(outcome->write_reduction, 0.01) << "t=" << t;
   }
+}
+
+// A bump-allocating placement policy whose only job here is its identity.
+class BumpPlacement final : public approx::PlacementPolicy {
+ public:
+  uint64_t PlaceSpan(uint64_t span) override {
+    const uint64_t base = next_;
+    next_ += span;
+    return base;
+  }
+  void OnQuarantine(uint64_t /*base*/, uint64_t /*span*/) override {}
+
+ private:
+  uint64_t next_ = 0;
+};
+
+TEST(EngineTest, MemoryOptionsReachTheSubstrate) {
+  // Every ApproxMemory::Options field set away from its default on the
+  // engine options must arrive unchanged at the engine's hybrid memory.
+  mem::TraceBuffer trace;
+  testing::FaultInjector injector(testing::FaultPlan{});
+  BumpPlacement placement;
+  EngineOptions options;
+  options.backend = std::string(approx::kBankedPcmBackendName);
+  options.mlc.beta = 0.04;
+  options.mode = approx::SimulationMode::kExact;
+  options.calibration_trials = 1234;
+  options.seed = 99;
+  options.shared_calibration =
+      std::make_shared<mlc::CalibrationCache>(options.mlc, 1234, 7);
+  options.sequential_write_discount = 0.5;
+  options.trace = &trace;
+  options.fault_hook = &injector;
+  options.health.enabled = true;
+  options.placement = &placement;
+
+  ApproxSortEngine engine(options);
+  const approx::ApproxMemory::Options& memory = engine.memory().options();
+  EXPECT_EQ(memory.backend, approx::kBankedPcmBackendName);
+  EXPECT_EQ(engine.memory().backend().name(), approx::kBankedPcmBackendName);
+  EXPECT_DOUBLE_EQ(memory.mlc.beta, 0.04);
+  EXPECT_EQ(memory.mode, approx::SimulationMode::kExact);
+  EXPECT_EQ(memory.calibration_trials, 1234u);
+  EXPECT_EQ(memory.seed, 99u);
+  EXPECT_EQ(memory.shared_calibration, options.shared_calibration);
+  EXPECT_EQ(&engine.memory().calibration(), options.shared_calibration.get());
+  EXPECT_DOUBLE_EQ(memory.sequential_write_discount, 0.5);
+  EXPECT_EQ(memory.trace, &trace);
+  EXPECT_EQ(memory.fault_hook, &injector);
+  EXPECT_TRUE(memory.health.enabled);
+  EXPECT_TRUE(engine.memory().health().enabled());
+  EXPECT_EQ(memory.placement, &placement);
+}
+
+TEST(EngineTest, RefineRejectsNanKnob) {
+  ApproxSortEngine engine(FastOptions());
+  const auto keys = MakeKeys(WorkloadKind::kUniform, 100, 7);
+  const auto outcome = engine.SortApproxRefine(
+      keys, sort::AlgorithmId{sort::SortKind::kLsdRadix, 3},
+      std::numeric_limits<double>::quiet_NaN());
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  ApproxSortEngine spintronic(SpintronicOptions());
+  const auto spin = spintronic.SortApproxRefine(
+      keys, sort::AlgorithmId{sort::SortKind::kLsdRadix, 3},
+      std::numeric_limits<double>::quiet_NaN());
+  ASSERT_FALSE(spin.ok());
+  EXPECT_EQ(spin.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, RefineRejectsInvalidT) {

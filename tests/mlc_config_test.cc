@@ -1,5 +1,7 @@
 #include "mlc/mlc_config.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace approxmem::mlc {
@@ -105,6 +107,22 @@ TEST(MlcConfigValidateTest, RejectsBadBetaAndLatencies) {
   config = MlcConfig();
   config.elapsed_seconds = 0.5;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+TEST(MlcConfigValidateTest, RejectsNanParameters) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double MlcConfig::*field :
+       {&MlcConfig::t_width, &MlcConfig::precise_t_width, &MlcConfig::beta,
+        &MlcConfig::drift_mu_per_decade, &MlcConfig::drift_sigma_per_decade,
+        &MlcConfig::elapsed_seconds, &MlcConfig::precise_write_latency_ns,
+        &MlcConfig::read_latency_ns}) {
+    MlcConfig config;
+    config.*field = nan;
+    const Status status = config.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+  EXPECT_FALSE(MlcConfig().WithT(nan).Validate().ok());
 }
 
 }  // namespace

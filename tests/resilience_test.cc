@@ -318,9 +318,9 @@ TEST(ResilienceTest, AbortedApproxStageStillChargesItsCosts) {
 }
 
 TEST(ResilienceTest, ExhaustedLadderReportsUnverifiedHonestly) {
-  // Fallback disabled and every rung pinned inside the bad region: the
-  // ladder must run dry and say so (verified == false, ok status) instead
-  // of pretending or erroring out.
+  // No retries or escalations, and the precise faults in the low region
+  // defeat the precise fallback too: the ladder must run dry and say so
+  // (verified == false, ok status) instead of pretending or erroring out.
   testing::FaultPlan plan = LowRegionPreciseFaults(64 * 1024 * 1024, 0.5);
   testing::FaultInjector injector(plan);
 
@@ -332,13 +332,15 @@ TEST(ResilienceTest, ExhaustedLadderReportsUnverifiedHonestly) {
   ResilienceOptions resilience;
   resilience.max_refine_retries = 0;
   resilience.max_escalations = 0;
-  resilience.allow_precise_fallback = false;
 
   const auto report = SortResilient(engine, keys, kQuick, 0.055, resilience);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->verified);
-  ASSERT_EQ(report->attempts.size(), 1u);
-  EXPECT_FALSE(report->attempts.back().verified);
+  ASSERT_EQ(report->attempts.size(), 2u);
+  EXPECT_EQ(report->attempts[0].policy, AttemptPolicy::kInitial);
+  EXPECT_EQ(report->attempts[1].policy, AttemptPolicy::kPreciseFallback);
+  EXPECT_FALSE(report->attempts[0].verified);
+  EXPECT_FALSE(report->attempts[1].verified);
 }
 
 TEST(ResilienceTest, RejectsInvalidHalfWidth) {

@@ -144,6 +144,10 @@ std::string CheckInvariants(const PropertyConfig& config, uint64_t seed,
             record.ids_digest == 0) {
           return label + "extsort completed without a rowid digest";
         }
+        if (record.request.job_class == core::JobClass::kExtSort &&
+            record.initial_runs == 0) {
+          return label + "extsort completed without initial runs";
+        }
         break;
       case service::JobState::kFailed:
         if (record.status.ok()) return label + "failed with an OK status";
@@ -182,9 +186,7 @@ std::string CheckInvariants(const PropertyConfig& config, uint64_t seed,
            std::to_string(stats.jobs_submitted) + " jobs";
   }
   for (int s = 0; s < config.shards; ++s) {
-    const service::WearPlacement* wear = sort_service.shard_wear(s);
-    if (wear == nullptr) return "shard wear ledger missing";
-    if (wear->quarantine_events() !=
+    if (sort_service.shard_wear(s).quarantine_events() !=
         sort_service.shard_health(s).regions_quarantined) {
       return "shard " + std::to_string(s) +
              ": wear policy saw a different quarantine count than the "

@@ -1,6 +1,7 @@
 #include "approx/spintronic.h"
 
 #include <bit>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,21 @@ TEST(SpintronicConfigTest, Validation) {
   config = SpintronicConfig();
   config.precise_write_energy = 0.0;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+TEST(SpintronicConfigTest, ValidationRejectsNan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double SpintronicConfig::*field :
+       {&SpintronicConfig::bit_error_prob,
+        &SpintronicConfig::energy_saving_per_write,
+        &SpintronicConfig::precise_write_energy,
+        &SpintronicConfig::read_energy}) {
+    SpintronicConfig config;
+    config.*field = nan;
+    const Status status = config.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
 }
 
 TEST(SpintronicConfigTest, Label) {

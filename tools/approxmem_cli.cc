@@ -400,7 +400,6 @@ int Fuzz(const Flags& flags, uint64_t seed) {
   runner.seed = seed;
   runner.threads = static_cast<int>(flags.GetInt("threads", 1));
   runner.max_n = static_cast<size_t>(flags.GetInt("n_max", 512));
-  runner.shrink = true;
 
   // One shared calibration cache across all cases: each T calibrates once.
   const uint64_t trials =
@@ -595,13 +594,12 @@ int Serve(const Flags& flags, uint64_t seed) {
   shards_table.SetHeader({"shard", "wear_imbalance", "quarantine_events",
                           "regions_quarantined", "alloc_retries"});
   for (int s = 0; s < options.shards; ++s) {
-    const service::WearPlacement* wear = service.shard_wear(s);
+    const service::WearPlacement& wear = service.shard_wear(s);
     const approx::HealthStats health = service.shard_health(s);
     shards_table.AddRow(
-        {TablePrinter::FmtInt(s),
-         wear ? TablePrinter::Fmt(wear->WearImbalance(), 3) : "-",
-         TablePrinter::FmtInt(static_cast<long long>(
-             wear ? wear->quarantine_events() : 0)),
+        {TablePrinter::FmtInt(s), TablePrinter::Fmt(wear.WearImbalance(), 3),
+         TablePrinter::FmtInt(
+             static_cast<long long>(wear.quarantine_events())),
          TablePrinter::FmtInt(
              static_cast<long long>(health.regions_quarantined)),
          TablePrinter::FmtInt(
