@@ -6,9 +6,10 @@
 // configurations; the in-memory write cost drops by the approx-refine
 // write reduction. The bench runs both configurations, checks the
 // determinism contract (spill/output digests byte-identical with the I/O
-// pool at hardware threads vs. 1), gates the run-formation overlap ratio
-// at > 1.0 (the pipeline must hide at least some I/O under compute), and
-// emits bench_artifacts/extsort_snapshot.json for tools/bench_compare.
+// pool at --threads vs. 1) and gates the run-formation overlap ratio at
+// > 1.0 (the pipeline must hide at least some I/O under compute); either
+// failure exits 1. Its table holds virtual-time results only and is written
+// to extsort.csv, which ctest pins byte for byte (GoldenParity.extsort_*).
 //
 // The default device is deliberately slow (--bandwidth_mb=8, --latency_us=500)
 // so I/O is a visible fraction of the simulated-PCM-dominated pipeline;
@@ -84,18 +85,14 @@ int Main(int argc, char** argv) {
   const extsort::ExternalSortReport precise =
       RunConfig(env, input, device_config, budget_bytes, /*use_approx=*/false,
                 io_threads);
-  const double write_reduction =
-      precise.memory_write_cost > 0.0
-          ? 1.0 - approximate.memory_write_cost / precise.memory_write_cost
-          : 0.0;
 
   TablePrinter table("External sort under a " +
                      TablePrinter::FmtInt(
                          static_cast<long long>(budget_bytes >> 20)) +
                      " MiB budget");
   table.SetHeader({"config", "runs", "passes", "fan_in", "spilled_mb",
-                   "overlap_form", "overlap_merge", "mem_write_ms",
-                   "verified"});
+                   "overlap_form", "overlap_merge", "mem_write_ms", "WR",
+                   "spill_digest", "output_digest", "verified"});
   const auto add_row = [&](const char* name,
                            const extsort::ExternalSortReport& r) {
     table.AddRow(
@@ -108,14 +105,18 @@ int Main(int argc, char** argv) {
          TablePrinter::Fmt(r.run_formation.OverlapRatio(), 3),
          TablePrinter::Fmt(r.merge.OverlapRatio(), 3),
          TablePrinter::Fmt(r.memory_write_cost / 1e6, 1),
+         TablePrinter::FmtPercent(
+             1.0 - r.memory_write_cost / precise.memory_write_cost, 2),
+         bench::HexDigest(r.spill_digest),
+         bench::HexDigest(r.output_digest),
          r.verified ? "yes" : "NO"});
   };
   add_row("approx-refine", approximate);
   add_row("precise", precise);
   table.Print();
-  std::printf("in-memory write reduction at scale: %.2f%% (Eq. 2); disk "
-              "traffic identical by construction\n",
-              write_reduction * 100.0);
+  bench::WriteCsv(env, table, "extsort.csv");
+  std::printf("in-memory write reduction (WR, Eq. 2) relative to the "
+              "precise run; disk traffic identical by construction\n");
 
   // Gate 1 — determinism: the async overlap must not leak thread schedule
   // into results. Re-run the approximate configuration with a serial
@@ -146,47 +147,6 @@ int Main(int argc, char** argv) {
                  "runs — the pipeline stopped overlapping I/O\n",
                  overlap, approximate.initial_runs);
   }
-
-  const std::string path = bench::CsvPath(env, "extsort_snapshot.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"snapshot\": \"out-of-core external sort\",\n"
-      "  \"hardware_threads\": %d,\n"
-      "  \"extsort\": {\n"
-      "    \"n\": %zu,\n"
-      "    \"budget_bytes\": %zu,\n"
-      "    \"io_threads\": %d,\n"
-      "    \"initial_runs\": %zu,\n"
-      "    \"merge_passes\": %zu,\n"
-      "    \"merge_fan_in\": %zu,\n"
-      "    \"bytes_spilled\": %llu,\n"
-      "    \"overlap_ratio\": %.4f,\n"
-      "    \"merge_overlap_ratio\": %.4f,\n"
-      "    \"write_reduction_run_formation\": %.4f,\n"
-      "    \"budget_high_water_fraction\": %.4f,\n"
-      "    \"spill_digest\": \"%016llx\",\n"
-      "    \"output_digest\": \"%016llx\",\n"
-      "    \"replay_match\": %s\n"
-      "  }\n"
-      "}\n",
-      ThreadPool::HardwareThreads(), approximate.n, budget_bytes, io_threads,
-      approximate.initial_runs, approximate.merge_passes,
-      approximate.merge_fan_in,
-      static_cast<unsigned long long>(approximate.bytes_spilled), overlap,
-      approximate.merge.OverlapRatio(), write_reduction,
-      static_cast<double>(approximate.budget_high_water) /
-          static_cast<double>(budget_bytes),
-      static_cast<unsigned long long>(approximate.spill_digest),
-      static_cast<unsigned long long>(approximate.output_digest),
-      replay_match ? "true" : "false");
-  std::fclose(f);
-  std::printf("extsort snapshot -> %s\n", path.c_str());
 
   if (!replay_match) {
     std::fprintf(stderr, "extsort: digest MISMATCH across I/O thread "

@@ -70,7 +70,7 @@ int Main(int argc, char** argv) {
     table.AddRow(table_row);
   }
   table.Print();
-  table.WriteCsv(bench::CsvPath(env, "fig10_wr_vs_n.csv"));
+  bench::WriteCsv(env, table, "fig10_wr_vs_n.csv");
   std::printf(
       "\nPaper shape: gains grow with n for quicksort and MSD (3-bit LSD/"
       "MSD reach ~11%%/10.3%% and quicksort ~4%% at 16M); LSD is not "

@@ -46,7 +46,7 @@ int Main(int argc, char** argv) {
     table.AddRow(row);
   }
   table.Print();
-  table.WriteCsv(bench::CsvPath(env, "fig13_spintronic_wr.csv"));
+  bench::WriteCsv(env, table, "fig13_spintronic_wr.csv");
   std::printf(
       "\nBest: %s with %.1f%% energy saving. Paper shape: radix and "
       "quicksort gain at the 20%% and 33%% operating points (radix up to "

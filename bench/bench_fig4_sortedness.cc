@@ -71,9 +71,9 @@ int Main(int argc, char** argv) {
   error_table.Print();
   rem_table.Print();
   wr_table.Print();
-  error_table.WriteCsv(bench::CsvPath(env, "fig4a_error_rate.csv"));
-  rem_table.WriteCsv(bench::CsvPath(env, "fig4b_rem_ratio.csv"));
-  wr_table.WriteCsv(bench::CsvPath(env, "fig4c_write_reduction.csv"));
+  bench::WriteCsv(env, error_table, "fig4a_error_rate.csv");
+  bench::WriteCsv(env, rem_table, "fig4b_rem_ratio.csv");
+  bench::WriteCsv(env, wr_table, "fig4c_write_reduction.csv");
   std::printf(
       "\nPaper shape: both error rate and Rem ratio grow rapidly past "
       "T~0.06 (mergesort much earlier); write reduction reaches ~33%% at "

@@ -60,7 +60,7 @@ int Main(int argc, char** argv) {
     table.AddRow(table_row);
   }
   table.Print();
-  table.WriteCsv(bench::CsvPath(env, "fig9_wr_vs_t.csv"));
+  bench::WriteCsv(env, table, "fig9_wr_vs_t.csv");
   std::printf(
       "\nBest: %s at T=%.3f with %.1f%% write reduction. Paper shape: all "
       "algorithms except mergesort peak at T=0.055 (radix ~10%%, quicksort "

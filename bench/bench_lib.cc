@@ -1,8 +1,8 @@
 #include "bench/bench_lib.h"
 
-#include <sys/stat.h>
-
+#include <filesystem>
 #include <memory>
+#include <system_error>
 
 #include "common/hash.h"
 #include "common/thread_pool.h"
@@ -107,9 +107,27 @@ void ParallelSweep(const BenchEnv& env, size_t rows, size_t cols,
       0, rows * cols, [&](size_t cell) { fn(cell / cols, cell % cols); });
 }
 
-std::string CsvPath(const BenchEnv& env, const std::string& file) {
-  ::mkdir(env.csv_dir.c_str(), 0755);
-  return env.csv_dir + "/" + file;
+void WriteCsv(const BenchEnv& env, const TablePrinter& table,
+              const std::string& file) {
+  std::error_code error;
+  std::filesystem::create_directories(env.csv_dir, error);
+  if (error) {
+    std::fprintf(stderr, "cannot create --csv_dir=%s: %s\n",
+                 env.csv_dir.c_str(), error.message().c_str());
+    std::exit(1);
+  }
+  const std::string path = env.csv_dir + "/" + file;
+  if (!table.WriteCsv(path)) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+}
+
+std::string HexDigest(uint64_t digest) {
+  char text[17];
+  std::snprintf(text, sizeof(text), "%016llx",
+                static_cast<unsigned long long>(digest));
+  return text;
 }
 
 void PrintRunHeader(const char* what, const BenchEnv& env) {

@@ -5,7 +5,9 @@
 //   --full           run at the paper's full scale (n = 16,000,000)
 //   --seed=<uint>    experiment seed
 //   --csv_dir=<dir>  where CSV artifacts are written (default
-//                    bench_artifacts/ under the current directory)
+//                    bench_artifacts/ under the current directory; created
+//                    with its parents, and the bench exits 1 when it
+//                    cannot write there)
 //   --threads=<k>    sweep/calibration concurrency (default: hardware;
 //                    --threads=1 runs fully serially). For a fixed seed the
 //                    CSV artifacts are byte-identical for every k.
@@ -35,6 +37,7 @@
 
 #include "approx/memory_backend.h"
 #include "common/flags.h"
+#include "common/table_printer.h"
 #include "core/engine.h"
 #include "core/workload.h"
 #include "sort/sort_common.h"
@@ -184,8 +187,14 @@ inline void RequireNoCellError(const std::string& error) {
   std::exit(1);
 }
 
-/// Creates env.csv_dir if missing and returns env.csv_dir + "/" + file.
-std::string CsvPath(const BenchEnv& env, const std::string& file);
+/// Writes `table` as env.csv_dir/`file`, creating the directory tree
+/// first. Exits 1 naming the path when the directory or the file cannot be
+/// written: a bench must never report success without its artifact.
+void WriteCsv(const BenchEnv& env, const TablePrinter& table,
+              const std::string& file);
+
+/// A 64-bit digest as 16 lower-case hex digits, for digest table cells.
+std::string HexDigest(uint64_t digest);
 
 void PrintRunHeader(const char* what, const BenchEnv& env);
 

@@ -74,7 +74,7 @@ int Main(int argc, char** argv) {
          TablePrinter::FmtPercent(overhead, 3)});
   }
   table.Print();
-  table.WriteCsv(bench::CsvPath(env, "resilience_overhead.csv"));
+  bench::WriteCsv(env, table, "resilience_overhead.csv");
   if (!ok) {
     std::fprintf(stderr,
                  "resilience_overhead: ladder took extra attempts or >2%% "

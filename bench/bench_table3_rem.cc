@@ -56,7 +56,7 @@ int Main(int argc, char** argv) {
     table.AddRow(table_row);
   }
   table.Print();
-  table.WriteCsv(bench::CsvPath(env, "table3_rem.csv"));
+  bench::WriteCsv(env, table, "table3_rem.csv");
   std::printf(
       "\nPaper values (n=16M): T=0.03: ~0.001-0.003%% everywhere; T=0.055: "
       "QS 1.92%%, LSD 1.02%%, MSD 1.00%%, MS 55.8%%; T=0.1: QS 96.9%%, LSD "

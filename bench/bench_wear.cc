@@ -21,8 +21,13 @@
 // and tenant ledgers match. It also fails when no bank retired, when the
 // service stopped completing verified jobs after the first retirement, or
 // when any completed job's output digest disagrees with std::sort (the
-// differential oracle). Emits bench_artifacts/endurance_snapshot.json for
-// tools/bench_compare (BENCH_10.json gate).
+// differential oracle). Its retirement timeline, per-epoch virtual-time SLO
+// and lifetime summary are written to endurance_timeline.csv,
+// endurance_epochs.csv and endurance_summary.csv, which ctest pins byte for
+// byte (GoldenParity.endurance_*); the wall-clock p99 drift is printed as
+// advisory only.
+//
+// Every run writes the P&V wear table to wear.csv.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,7 +40,6 @@
 #include "bench/bench_lib.h"
 #include "common/hash.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "core/workload.h"
 #include "service/sort_service.h"
 #include "testing/fault_injection.h"
@@ -174,7 +178,7 @@ int RunSoak(const bench::BenchEnv& env, double seconds) {
 
 // ---- Accelerated-aging soak ------------------------------------------------
 
-/// Everything one aging run produces that the gates and the snapshot need.
+/// Everything one aging run produces that the gates and the tables need.
 struct AgingRunResult {
   service::ServiceStats stats;
   uint64_t timeline_digest = 0;
@@ -186,7 +190,7 @@ struct AgingRunResult {
   double p99_drift = 1.0;
   /// Last-epoch over first-epoch virtual-time p99: built from the modeled
   /// cost ledgers alone, so unlike p99_drift it is host-independent and
-  /// bench_compare gates it unconditionally.
+  /// golden-pinned.
   double virtual_p99_drift = 1.0;
   double write_reduction_drift = 0.0;
   uint64_t oracle_failures = 0;
@@ -328,11 +332,11 @@ int RunAgingSoak(const bench::BenchEnv& env, double age_multiplier) {
          TablePrinter::FmtInt(static_cast<long long>(event.quarantines))});
   }
   timeline.Print();
+  bench::WriteCsv(env, timeline, "endurance_timeline.csv");
 
-  TablePrinter slo("per-wear-epoch SLO (p50/p99 wall-clock advisory; "
-                   "vp50/vp99 virtual-time, deterministic)");
+  TablePrinter slo("per-wear-epoch SLO (virtual time, deterministic)");
   slo.SetHeader({"epoch", "completed", "failed", "shed", "mean_WR",
-                 "p50_ms", "p99_ms", "vp50_us", "vp99_us"});
+                 "vp50_us", "vp99_us"});
   for (const auto& [epoch, stats] : primary.epochs) {
     slo.AddRow({TablePrinter::FmtInt(static_cast<long long>(epoch)),
                 TablePrinter::FmtInt(static_cast<long long>(
@@ -341,35 +345,39 @@ int RunAgingSoak(const bench::BenchEnv& env, double age_multiplier) {
                     stats.jobs_failed)),
                 TablePrinter::FmtInt(static_cast<long long>(stats.jobs_shed)),
                 TablePrinter::FmtPercent(stats.MeanWriteReduction(), 1),
-                TablePrinter::Fmt(stats.LatencyP50() * 1e3, 3),
-                TablePrinter::Fmt(stats.LatencyP99() * 1e3, 3),
                 TablePrinter::Fmt(stats.VirtualLatencyP50(), 1),
                 TablePrinter::Fmt(stats.VirtualLatencyP99(), 1)});
   }
   slo.Print();
-  std::printf("  traffic    %zu submitted, %zu completed, %zu failed, "
-              "%zu shed (%zu on exhausted substrate)\n",
-              primary.stats.jobs_submitted, primary.stats.jobs_completed,
-              primary.stats.jobs_failed, primary.stats.jobs_shed,
-              primary.stats.jobs_shed_exhausted);
-  std::printf("  lifetime   %llu banks retired (first at virtual time "
-              "%llu); %llu verified jobs completed after first "
-              "retirement\n",
-              static_cast<unsigned long long>(primary.banks_retired),
-              static_cast<unsigned long long>(
-                  primary.first_retirement_vtime),
-              static_cast<unsigned long long>(
-                  primary.completed_after_first_retirement));
-  std::printf("  drift      p99 latency x%.3f wall-clock / x%.3f "
-              "virtual-time, write reduction %+.4f across epochs\n",
-              primary.p99_drift, primary.virtual_p99_drift,
-              primary.write_reduction_drift);
-  std::printf("  digests    timeline %016llx ledgers %016llx (serial "
-              "replay %016llx / %016llx)\n",
-              static_cast<unsigned long long>(primary.timeline_digest),
-              static_cast<unsigned long long>(primary.ledger_digest),
-              static_cast<unsigned long long>(replay.timeline_digest),
-              static_cast<unsigned long long>(replay.ledger_digest));
+  bench::WriteCsv(env, slo, "endurance_epochs.csv");
+
+  TablePrinter summary("device lifetime (job-count virtual time)");
+  summary.SetHeader({"submitted", "completed", "failed", "shed",
+                     "shed_exhausted", "banks_retired", "first_retirement",
+                     "completed_after_first", "virtual_p99_drift",
+                     "WR_drift", "timeline_digest", "ledger_digest"});
+  const auto count = [](uint64_t value) {
+    return TablePrinter::FmtInt(static_cast<long long>(value));
+  };
+  summary.AddRow({count(primary.stats.jobs_submitted),
+                  count(primary.stats.jobs_completed),
+                  count(primary.stats.jobs_failed),
+                  count(primary.stats.jobs_shed),
+                  count(primary.stats.jobs_shed_exhausted),
+                  count(primary.banks_retired),
+                  count(primary.first_retirement_vtime),
+                  count(primary.completed_after_first_retirement),
+                  TablePrinter::Fmt(primary.virtual_p99_drift, 3),
+                  TablePrinter::Fmt(primary.write_reduction_drift, 4),
+                  bench::HexDigest(primary.timeline_digest),
+                  bench::HexDigest(primary.ledger_digest)});
+  summary.Print();
+  bench::WriteCsv(env, summary, "endurance_summary.csv");
+  std::printf("  wall-clock p99 drift x%.3f across epochs (advisory)\n",
+              primary.p99_drift);
+  std::printf("  serial replay digests: timeline %s ledgers %s\n",
+              bench::HexDigest(replay.timeline_digest).c_str(),
+              bench::HexDigest(replay.ledger_digest).c_str());
 
   bool ok = true;
   if (primary.oracle_failures > 0 || replay.oracle_failures > 0) {
@@ -402,45 +410,6 @@ int RunAgingSoak(const bench::BenchEnv& env, double age_multiplier) {
                  "nondeterministic\n");
     ok = false;
   }
-
-  const std::string path =
-      bench::CsvPath(env, "endurance_snapshot.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"snapshot\": \"device-lifetime endurance\",\n"
-      "  \"hardware_threads\": %d,\n"
-      "  \"endurance\": {\n"
-      "    \"age_multiplier\": %.1f,\n"
-      "    \"aging_rounds\": %d,\n"
-      "    \"bank_budget_pv\": %.1f,\n"
-      "    \"jobs_submitted\": %zu,\n"
-      "    \"jobs_completed\": %zu,\n"
-      "    \"banks_retired\": %llu,\n"
-      "    \"first_retirement_vtime\": %llu,\n"
-      "    \"completed_after_first_retirement\": %llu,\n"
-      "    \"p99_drift_ratio\": %.3f,\n"
-      "    \"virtual_p99_drift_ratio\": %.3f,\n"
-      "    \"write_reduction_drift\": %.4f,\n"
-      "    \"timeline_digest\": \"%016llx\"\n"
-      "  }\n"
-      "}\n",
-      ThreadPool::HardwareThreads(), age_multiplier, rounds, budget,
-      primary.stats.jobs_submitted, primary.stats.jobs_completed,
-      static_cast<unsigned long long>(primary.banks_retired),
-      static_cast<unsigned long long>(primary.first_retirement_vtime),
-      static_cast<unsigned long long>(
-          primary.completed_after_first_retirement),
-      primary.p99_drift, primary.virtual_p99_drift,
-      primary.write_reduction_drift,
-      static_cast<unsigned long long>(primary.timeline_digest));
-  std::fclose(f);
-  std::printf("endurance snapshot -> %s\n", path.c_str());
 
   if (!ok) return 1;
   std::printf("aging soak: PASS — deterministic retirement timeline, "
@@ -484,6 +453,7 @@ int Main(int argc, char** argv) {
                   TablePrinter::FmtPercent(outcome.write_reduction, 1)});
   }
   table.Print();
+  bench::WriteCsv(env, table, "wear.csv");
   std::printf(
       "\nWear tracks latency: at the sweet spot the approximate stage's "
       "cells see ~p(t) of the precise pulse count, extending device "

@@ -15,7 +15,7 @@
 //  * Virtual time (virtual_latencies_us): queue-position × modeled service
 //    time, computed by the service from deterministic cost ledgers alone,
 //    so virtual p50/p99 replay bit-identically at any thread count — the
-//    numbers bench_compare gates on hard.
+//    numbers the bench_wear golden CSVs pin byte for byte.
 // Everything else in the ledger (job counts, write reductions, epochs) is
 // likewise deterministic.
 #ifndef APPROXMEM_SERVICE_SLO_LEDGER_H_

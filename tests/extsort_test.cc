@@ -182,15 +182,6 @@ TEST_F(ExternalSortTest, BudgetHighWaterMeetsCapacityExactly) {
   EXPECT_GT(report.budget_high_water, options.memory_budget_bytes / 2);
 }
 
-TEST_F(ExternalSortTest, SharedExternalBudgetIsHonored) {
-  const auto input = core::MakeKeys(core::WorkloadKind::kUniform, 10000, 10);
-  ExternalSortOptions options;
-  options.memory_budget_bytes = BudgetFor(3000);
-  const ExternalSortReport report = MustSort(input, options);
-  ASSERT_TRUE(report.verified);
-  EXPECT_LE(report.budget_high_water, options.memory_budget_bytes);
-}
-
 TEST_F(ExternalSortTest, DeviceStatsCoverStagingAndSort) {
   // Cumulative device accounting: staging wrote n elements, run formation
   // read n and wrote n (runs), the merge read n and wrote n (output).
