@@ -65,12 +65,10 @@ void WorkloadAblation(const bench::BenchEnv& env,
     const auto keys = core::MakeKeys(workload, env.n, env.seed);
     std::vector<std::string> row = {core::WorkloadName(workload)};
     for (const auto& algorithm : algorithms) {
-      const auto outcome = engine.SortApproxRefine(keys, algorithm, 0.055);
-      if (!outcome.ok() || !outcome->refine.verified()) {
-        row.push_back("ERROR");
-        continue;
-      }
-      row.push_back(TablePrinter::FmtPercent(outcome->write_reduction, 1));
+      const auto outcome = bench::RequireVerifiedOutcome(
+          engine.SortApproxRefine(keys, algorithm, 0.055),
+          "ablation (b)");
+      row.push_back(TablePrinter::FmtPercent(outcome.write_reduction, 1));
     }
     table.AddRow(row);
   }

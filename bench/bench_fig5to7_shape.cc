@@ -4,7 +4,6 @@
 // digit = mean value height 0-9; a monotone ramp 0..9 is a sorted array)
 // plus displacement statistics, and exported as a CSV scatter.
 #include <cstdio>
-#include <sys/stat.h>
 
 #include "bench/bench_lib.h"
 #include "common/table_printer.h"
@@ -17,7 +16,6 @@ int Main(int argc, char** argv) {
   const bench::BenchEnv env = bench::ParseBenchEnv(argc, argv, 160000);
   bench::PrintRunHeader("Figures 5-7: sequence shape after approximate sort",
                         env);
-  ::mkdir(env.csv_dir.c_str(), 0755);
   core::ApproxSortEngine engine = bench::MakeEngine(env);
   const auto keys =
       core::MakeKeys(core::WorkloadKind::kUniform, env.n, env.seed);
@@ -35,11 +33,12 @@ int Main(int argc, char** argv) {
                   sortedness::ShapeSparkline(output).c_str(),
                   result.sortedness.rem_ratio * 100.0,
                   shape.displaced_fraction * 100.0, shape.deviation_p50);
-      char path[256];
-      std::snprintf(path, sizeof(path), "%s/shape_T%03d_%s.csv",
-                    env.csv_dir.c_str(), static_cast<int>(t * 1000),
-                    algorithm.Name().c_str());
-      sortedness::WriteShapeCsv(output, path);
+      char file[64];
+      std::snprintf(file, sizeof(file), "shape_T%03d_%s.csv",
+                    static_cast<int>(t * 1000), algorithm.Name().c_str());
+      const std::string path = bench::CsvPath(env, file);
+      bench::Require(sortedness::WriteShapeCsv(output, path),
+                     "cannot write " + path);
     }
   }
   std::printf(

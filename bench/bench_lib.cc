@@ -12,9 +12,9 @@ namespace approxmem::bench {
 namespace {
 
 // Process-wide sweep runtime: one thread pool and one shared calibration
-// cache, parameterized by the first BenchEnv seen (each bench binary parses
-// exactly one). Destroyed at normal process exit, which is when the
-// --calibration_cache file is saved.
+// cache, parameterized by the first BenchEnv seen (a process's BenchEnvs
+// differ only in n and backend, which it does not read). Destroyed at
+// normal process exit, which is when the --calibration_cache file is saved.
 struct Runtime {
   explicit Runtime(const BenchEnv& env)
       : calibration_path(env.calibration_cache), pool(env.threads) {
@@ -74,10 +74,51 @@ core::EngineOptions CellOptions(const BenchEnv& env, uint64_t seed) {
   return options;
 }
 
+uint64_t CellSeed(uint64_t seed, size_t row, size_t col) {
+  // 1-based row so cell (0, 0) still perturbs the base seed.
+  return seed ^ Mix64((static_cast<uint64_t>(row) + 1) * 0x100000001b3ULL +
+                      static_cast<uint64_t>(col) + kSplitMix64Gamma);
+}
+
 }  // namespace
 
-int SweepThreads(const BenchEnv& env) {
-  return GetRuntime(env).pool.thread_count();
+Flags ParseBenchFlags(int argc, char** argv, std::string_view usage) {
+  StatusOr<Flags> flags = Flags::Parse(argc, argv);
+  const Status status = !flags.ok()     ? flags.status()
+                        : usage.empty() ? Status::Ok()
+                                        : flags->CheckListedIn(usage);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n%.*s", status.ToString().c_str(),
+                 static_cast<int>(usage.size()), usage.data());
+    std::exit(2);
+  }
+  return std::move(flags).value();
+}
+
+BenchEnv ResolveBenchEnv(const Flags& flags, size_t default_n,
+                         std::string_view default_backend) {
+  BenchEnv env;
+  env.flags = flags;
+  env.full = flags.GetBool("full", false);
+  const size_t base = env.full ? kPaperN : default_n;
+  env.n = static_cast<size_t>(flags.GetInt(
+      "n", static_cast<int64_t>(Flags::EnvSize("APPROX_BENCH_N", base))));
+  env.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  env.threads = static_cast<int>(flags.GetInt("threads", 0));
+  env.sort_threads = static_cast<int>(flags.GetInt("sort_threads", 1));
+  env.csv_dir = flags.GetString("csv_dir", "bench_artifacts");
+  env.calibration_cache = flags.GetString("calibration_cache", "");
+  env.backend = flags.GetString("backend", std::string(default_backend));
+  if (!approx::IsRegisteredBackend(env.backend)) {
+    std::fprintf(stderr, "unknown --backend=%s; registered:",
+                 env.backend.c_str());
+    for (const std::string& name : approx::RegisteredBackendNames()) {
+      std::fprintf(stderr, " %s", name.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+  return env;
 }
 
 core::ApproxSortEngine MakeEngine(const BenchEnv& env) {
@@ -86,12 +127,6 @@ core::ApproxSortEngine MakeEngine(const BenchEnv& env) {
 
 core::EngineOptions MakeEngineOptions(const BenchEnv& env) {
   return CellOptions(env, env.seed);
-}
-
-uint64_t CellSeed(uint64_t seed, size_t row, size_t col) {
-  // 1-based row so cell (0, 0) still perturbs the base seed.
-  return seed ^ Mix64((static_cast<uint64_t>(row) + 1) * 0x100000001b3ULL +
-                      static_cast<uint64_t>(col) + kSplitMix64Gamma);
 }
 
 core::ApproxSortEngine MakeCellEngine(const BenchEnv& env, size_t row,
@@ -107,8 +142,7 @@ void ParallelSweep(const BenchEnv& env, size_t rows, size_t cols,
       0, rows * cols, [&](size_t cell) { fn(cell / cols, cell % cols); });
 }
 
-void WriteCsv(const BenchEnv& env, const TablePrinter& table,
-              const std::string& file) {
+std::string CsvPath(const BenchEnv& env, const std::string& file) {
   std::error_code error;
   std::filesystem::create_directories(env.csv_dir, error);
   if (error) {
@@ -116,11 +150,19 @@ void WriteCsv(const BenchEnv& env, const TablePrinter& table,
                  env.csv_dir.c_str(), error.message().c_str());
     std::exit(1);
   }
-  const std::string path = env.csv_dir + "/" + file;
-  if (!table.WriteCsv(path)) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  return env.csv_dir + "/" + file;
+}
+
+void Require(bool ok, const std::string& failure) {
+  if (ok) return;
+  std::fprintf(stderr, "%s\n", failure.c_str());
+  std::exit(1);
+}
+
+void WriteCsv(const BenchEnv& env, const TablePrinter& table,
+              const std::string& file) {
+  const std::string path = CsvPath(env, file);
+  Require(table.WriteCsv(path), "cannot write " + path);
 }
 
 std::string HexDigest(uint64_t digest) {
@@ -134,8 +176,8 @@ void PrintRunHeader(const char* what, const BenchEnv& env) {
   std::printf("# %s | n=%zu seed=%llu threads=%d sort_threads=%d "
               "backend=%s%s\n",
               what, env.n, static_cast<unsigned long long>(env.seed),
-              SweepThreads(env), env.sort_threads, env.backend.c_str(),
-              env.full ? " (paper scale)" : "");
+              GetRuntime(env).pool.thread_count(), env.sort_threads,
+              env.backend.c_str(), env.full ? " (paper scale)" : "");
   std::printf(
       "# Shapes should match the paper; absolute values depend on the "
       "simulated substrate. Run with --full for the paper's n=16M.\n");

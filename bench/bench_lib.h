@@ -1,7 +1,7 @@
 // Shared plumbing for the figure/table regeneration binaries.
 //
 // Every bench accepts:
-//   --n=<elements>   input size (default kDefaultN; the paper uses 16M)
+//   --n=<elements>   input size (default per bench; the paper uses 16M)
 //   --full           run at the paper's full scale (n = 16,000,000)
 //   --seed=<uint>    experiment seed
 //   --csv_dir=<dir>  where CSV artifacts are written (default
@@ -20,10 +20,11 @@
 //                    before the run and save the (possibly grown) cache
 //                    back afterwards, so repeated figure runs skip the
 //                    Monte-Carlo calibration entirely.
+//   --calibration_trials=<k>  Monte-Carlo trials per calibrated T.
 //   --backend=<name> memory-technology backend every engine allocates on
-//                    (see approx/memory_backend.h). Benches default to the
-//                    technology their figure studies (mlc-pcm for most,
-//                    spintronic for fig12-14); any registered backend works.
+//                    (see approx/memory_backend.h); default: the one the
+//                    figure studies (spintronic for Figs. 12-14, else
+//                    mlc-pcm). Any registered backend works.
 // plus the APPROX_BENCH_N environment variable as an n override.
 #ifndef APPROXMEM_BENCH_BENCH_LIB_H_
 #define APPROXMEM_BENCH_BENCH_LIB_H_
@@ -32,6 +33,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,39 +61,23 @@ struct BenchEnv {
   Flags flags;
 };
 
-/// Parses flags/environment; exits the process on malformed flags or an
-/// unregistered --backend. `default_backend` is the technology the bench
-/// studies when --backend is not given.
+/// Parses argv; exits 2 on malformed flags, and also on any flag `usage`
+/// does not list when `usage` is non-empty (printing the usage text).
+Flags ParseBenchFlags(int argc, char** argv, std::string_view usage = {});
+
+/// The environment for one figure or study: `default_n` and
+/// `default_backend` apply unless --n/--full/APPROX_BENCH_N or --backend
+/// override them. Exits 2 on an unregistered --backend.
+BenchEnv ResolveBenchEnv(
+    const Flags& flags, size_t default_n = kDefaultN,
+    std::string_view default_backend = approx::kPcmBackendName);
+
+/// ParseBenchFlags + ResolveBenchEnv for single-study benches.
 inline BenchEnv ParseBenchEnv(
     int argc, char** argv, size_t default_n = kDefaultN,
     std::string_view default_backend = approx::kPcmBackendName) {
-  StatusOr<Flags> flags = Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
-    std::exit(2);
-  }
-  BenchEnv env;
-  env.flags = *flags;
-  env.full = flags->GetBool("full", false);
-  const size_t base = env.full ? kPaperN : default_n;
-  env.n = static_cast<size_t>(flags->GetInt(
-      "n", static_cast<int64_t>(Flags::EnvSize("APPROX_BENCH_N", base))));
-  env.seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  env.threads = static_cast<int>(flags->GetInt("threads", 0));
-  env.sort_threads = static_cast<int>(flags->GetInt("sort_threads", 1));
-  env.csv_dir = flags->GetString("csv_dir", "bench_artifacts");
-  env.calibration_cache = flags->GetString("calibration_cache", "");
-  env.backend = flags->GetString("backend", std::string(default_backend));
-  if (!approx::IsRegisteredBackend(env.backend)) {
-    std::fprintf(stderr, "unknown --backend=%s; registered:",
-                 env.backend.c_str());
-    for (const std::string& name : approx::RegisteredBackendNames()) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-  }
-  return env;
+  return ResolveBenchEnv(ParseBenchFlags(argc, argv), default_n,
+                         default_backend);
 }
 
 /// The T grid of Figures 4 and 9: 0.025 .. 0.1 in steps of 0.005.
@@ -100,14 +86,6 @@ inline std::vector<double> PaperTGrid() {
   for (int i = 0; i <= 15; ++i) grid.push_back(0.025 + 0.005 * i);
   return grid;
 }
-
-/// The ten algorithm instances of the Figure 9/10/11 panels.
-inline std::vector<sort::AlgorithmId> PanelAlgorithms() {
-  return sort::StudyAlgorithms();
-}
-
-/// Resolved sweep concurrency for this process (workers + caller).
-int SweepThreads(const BenchEnv& env);
 
 /// Engine seeded with env.seed, sharing the process-wide calibration cache
 /// (and its --calibration_cache persistence) with every other engine.
@@ -118,13 +96,10 @@ core::ApproxSortEngine MakeEngine(const BenchEnv& env);
 /// process-wide calibration cache.
 core::EngineOptions MakeEngineOptions(const BenchEnv& env);
 
-/// Deterministic per-cell seed for grid cell (row, col): env.seed xor a
-/// SplitMix64 hash of the cell coordinates.
-uint64_t CellSeed(uint64_t seed, size_t row, size_t col);
-
-/// Engine for sweep grid cell (row, col): seeded with CellSeed and sharing
-/// the process-wide calibration cache, so concurrent cells never contend on
-/// an RNG stream and each T is calibrated exactly once.
+/// Engine for sweep grid cell (row, col): seeded with env.seed xor a
+/// SplitMix64 hash of the cell coordinates and sharing the process-wide
+/// calibration cache, so concurrent cells never contend on an RNG stream
+/// and each T is calibrated exactly once.
 core::ApproxSortEngine MakeCellEngine(const BenchEnv& env, size_t row,
                                       size_t col);
 
@@ -136,13 +111,13 @@ void ParallelSweep(const BenchEnv& env, size_t rows, size_t cols,
                    const std::function<void(size_t row, size_t col)>& fn);
 
 /// Aborts the bench with a one-line diagnostic when an approx-refine
-/// outcome finished unverified: a figure must never be built from numbers
+/// run finished unverified: a figure must never be built from numbers
 /// whose output was not exactly sorted.
-inline void RequireVerified(const core::RefineOutcome& outcome,
+inline void RequireVerified(const refine::RefineReport& report,
                             const char* context) {
-  if (outcome.refine.verified()) return;
+  if (report.verified()) return;
   std::fprintf(stderr, "%s: UNVERIFIED refine output — %s\n", context,
-               outcome.refine.verification.ToString().c_str());
+               report.verification.ToString().c_str());
   std::exit(1);
 }
 
@@ -162,34 +137,19 @@ T RequireOk(StatusOr<T> result, const char* context) {
 inline core::RefineOutcome RequireVerifiedOutcome(
     StatusOr<core::RefineOutcome> outcome, const char* context) {
   core::RefineOutcome value = RequireOk(std::move(outcome), context);
-  RequireVerified(value, context);
+  RequireVerified(value.refine, context);
   return value;
 }
 
-/// Diagnostic for one sweep cell's approx-refine result: empty when the
-/// run succeeded and verified, the failure description otherwise. Sweep
-/// benches store this per cell (worker threads must not exit the process)
-/// and call RequireNoCellError while assembling the table.
-inline std::string RefineCellError(
-    const StatusOr<core::RefineOutcome>& outcome) {
-  if (!outcome.ok()) return outcome.status().ToString();
-  if (!outcome->refine.verified()) {
-    return "UNVERIFIED refine output — " +
-           outcome->refine.verification.ToString();
-  }
-  return std::string();
-}
+/// env.csv_dir/`file`, creating the directory tree first. Exits 1 naming
+/// the directory when it cannot be created.
+std::string CsvPath(const BenchEnv& env, const std::string& file);
 
-/// Aborts the bench when a sweep cell recorded an error.
-inline void RequireNoCellError(const std::string& error) {
-  if (error.empty()) return;
-  std::fprintf(stderr, "%s\n", error.c_str());
-  std::exit(1);
-}
+/// Exits 1 printing `failure` unless `ok`: a bench must never report
+/// success without its artifact or with an unverified result.
+void Require(bool ok, const std::string& failure);
 
-/// Writes `table` as env.csv_dir/`file`, creating the directory tree
-/// first. Exits 1 naming the path when the directory or the file cannot be
-/// written: a bench must never report success without its artifact.
+/// Writes `table` as CsvPath(env, `file`), or exits 1 naming the path.
 void WriteCsv(const BenchEnv& env, const TablePrinter& table,
               const std::string& file);
 

@@ -31,26 +31,21 @@ void LisModeAblation(const bench::BenchEnv& env) {
        {sort::AlgorithmId{sort::SortKind::kQuicksort, 0},
         sort::AlgorithmId{sort::SortKind::kLsdRadix, 3}}) {
     for (const double t : {0.045, 0.055, 0.065}) {
+      // The engine's own options with only the LIS mode swapped; the
+      // baseline uses the same sort seed, so quicksort's pivots match.
       auto run = [&](refine::LisMode mode, size_t* rem) {
-        refine::RefineOptions options;
-        options.algorithm = algorithm;
+        refine::RefineOptions options =
+            engine.RefineOptionsFor(algorithm, t, engine.SortSeed());
         options.lis_mode = mode;
-        options.approx_alloc = [&engine, t](size_t size) {
-          return engine.memory().NewApproxArray(size, t);
-        };
-        options.precise_alloc = [&engine](size_t size) {
-          return engine.memory().NewPreciseArray(size);
-        };
-        const auto report =
-            refine::ApproxRefineSort(keys, options, nullptr, nullptr);
-        if (!report.ok() || !report->verified()) {
-          std::fprintf(stderr, "refine failed\n");
-          std::exit(1);
-        }
-        *rem = report->rem_estimate;
-        const auto baseline = refine::PreciseSortBaseline(
-            keys, algorithm, options.precise_alloc, 13, true);
-        return refine::WriteReduction(*report, *baseline);
+        const refine::RefineReport report = bench::RequireOk(
+            refine::ApproxRefineSort(keys, options, nullptr, nullptr),
+            "LIS ablation");
+        bench::RequireVerified(report, "LIS ablation");
+        *rem = report.rem_estimate;
+        const refine::PreciseBaselineReport baseline = bench::RequireOk(
+            engine.PreciseBaseline(keys, algorithm, options.sort_seed, true),
+            "LIS ablation baseline");
+        return refine::WriteReduction(report, baseline);
       };
       size_t rem_heuristic = 0;
       size_t rem_exact = 0;
@@ -90,12 +85,10 @@ void SequentialDiscountAblation(const bench::BenchEnv& env) {
           sort::AlgorithmId{sort::SortKind::kMsdRadix, 3},
           sort::AlgorithmId{sort::SortKind::kQuicksort, 0},
           sort::AlgorithmId{sort::SortKind::kMergesort, 0}}) {
-      const auto outcome = engine.SortApproxRefine(keys, algorithm, 0.055);
-      if (!outcome.ok() || !outcome->refine.verified()) {
-        row.push_back("ERROR");
-        continue;
-      }
-      row.push_back(TablePrinter::FmtPercent(outcome->write_reduction, 2));
+      const auto outcome = bench::RequireVerifiedOutcome(
+          engine.SortApproxRefine(keys, algorithm, 0.055),
+          "sequential-discount ablation");
+      row.push_back(TablePrinter::FmtPercent(outcome.write_reduction, 2));
     }
     table.AddRow(row);
   }

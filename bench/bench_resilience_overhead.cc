@@ -28,7 +28,7 @@ int Main(int argc, char** argv) {
   table.SetHeader({"algorithm", "attempts", "WR_plain", "WR_resilient",
                    "canary_share", "overhead"});
   bool ok = true;
-  for (const auto& algorithm : bench::PanelAlgorithms()) {
+  for (const auto& algorithm : sort::StudyAlgorithms()) {
     // Separate engines so both paths see identical RNG streams.
     core::ApproxSortEngine plain_engine = bench::MakeEngine(env);
     const auto plain = bench::RequireVerifiedOutcome(

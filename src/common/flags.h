@@ -1,10 +1,10 @@
 // Tiny command-line flag parser for bench and example binaries.
 //
 // Supports "--name=value", "--name value", and boolean "--name". Parsing
-// accepts any name: the bench binaries stay permissive and ignore flags
-// they do not read, while approxmem_cli calls CheckListedIn with its usage
-// text so a typo fails loudly instead of silently running the default
-// experiment.
+// accepts any name: approxmem_cli and bench_figures call CheckListedIn
+// with their usage text so a typo fails loudly instead of silently running
+// the default experiment, while the other bench binaries stay permissive
+// and ignore flags they do not read.
 #ifndef APPROXMEM_COMMON_FLAGS_H_
 #define APPROXMEM_COMMON_FLAGS_H_
 

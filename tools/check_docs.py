@@ -10,7 +10,10 @@ Scans README.md, DESIGN.md, EXPERIMENTS.md, and TESTING.md for
     file without updating its doc references breaks CI, not a reader), and
   * CLI flags — `--flag` tokens in approxmem_cli command lines — and fails
     if the flag is not in the CLI's --help text (the stale-flag sweep that
-    used to be a manual EXPERIMENTS.md chore).
+    used to be a manual EXPERIMENTS.md chore), and
+  * bench binaries — `bench_<name>` tokens, including `build/bench/...`
+    paths — and fails if the name is not a target in bench/CMakeLists.txt
+    (so a doc cannot name a deleted or renamed bench).
 
 Path tokens may carry a :line suffix or glob-ish tails ("src/sort/*"); the
 directory part is what must exist. Flags checked only in lines that invoke
@@ -35,6 +38,11 @@ DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md"]
 PATH_RE = re.compile(
     r"(?<!build/)\b((?:src|tests|tools|bench|perfbench|scripts|\.github)"
     r"/[\w./\-*]+)")
+
+#: `bench_<name>` binary tokens. A leading "." (`.bench_build/`), a trailing
+#: "/" (directories such as `bench_artifacts/`) or a `.cc`/`.h` suffix
+#: (source paths, which PATH_RE checks) marks something else.
+BENCH_RE = re.compile(r"(?<![\w.])(bench_\w+)(?![\w/]|\.(?:cc|h)\b)")
 
 #: --flag tokens (value part ignored).
 FLAG_RE = re.compile(r"(--[a-z][a-z0-9_]*)")
@@ -68,6 +76,16 @@ def cli_flags(cli):
     return set(FLAG_RE.findall(out.stdout + out.stderr))
 
 
+def bench_targets(root):
+    """Bench executables declared in bench/CMakeLists.txt."""
+    with open(os.path.join(root, "bench", "CMakeLists.txt")) as f:
+        text = f.read()
+    listed = re.search(r"set\(APPROXMEM_BENCHES([^)]*)\)", text)
+    targets = set(listed.group(1).split()) if listed else set()
+    targets.update(re.findall(r"add_executable\((bench_\w+)", text))
+    return targets
+
+
 def bench_flags(root):
     """Flags the bench harness adds on top of the CLI parser."""
     flags = set()
@@ -78,11 +96,16 @@ def bench_flags(root):
     return flags
 
 
-def check_file(path, tracked, known_cli, known_bench, root):
+def check_file(path, tracked, targets, known_cli, known_bench, root):
     failures = []
     with open(path) as f:
         lines = f.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
+        for name in BENCH_RE.findall(line):
+            if name not in targets:
+                failures.append(
+                    f"{os.path.relpath(path, root)}:{lineno}: "
+                    f"bench `{name}` is not a bench/CMakeLists.txt target")
         for token in PATH_RE.findall(line):
             candidate = token.rstrip(".,:;)")
             candidate = candidate.split(":")[0]
@@ -121,6 +144,7 @@ def main():
     if args.cli is not None and known_cli is None:
         return 1
     known_bench = bench_flags(args.root)
+    targets = bench_targets(args.root)
 
     failures = []
     checked = 0
@@ -130,7 +154,8 @@ def main():
             continue
         checked += 1
         failures.extend(
-            check_file(path, tracked, known_cli, known_bench, args.root))
+            check_file(path, tracked, targets, known_cli, known_bench,
+                       args.root))
 
     if failures:
         print(f"{len(failures)} stale doc reference(s):")
