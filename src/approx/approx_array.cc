@@ -9,7 +9,6 @@ ApproxArrayU32::ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
                                double sequential_write_discount,
                                MemoryFaultHook* fault_hook)
     : actual_(n, 0),
-      intended_(n, 0),
       model_(model),
       rng_(rng),
       trace_(trace),
@@ -22,13 +21,14 @@ ApproxArrayU32::ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
       last_written_(static_cast<size_t>(-1)) {
   // A null model is only legal for empty placeholder arrays.
   APPROXMEM_CHECK(model != nullptr || n == 0);
+  if (!precise_ || fault_hook_ != nullptr) deviating_.assign(n, 0);
 }
 
 ApproxArrayU32::~ApproxArrayU32() { FlushStats(); }
 
 ApproxArrayU32::ApproxArrayU32(ApproxArrayU32&& other) noexcept
     : actual_(std::move(other.actual_)),
-      intended_(std::move(other.intended_)),
+      deviating_(std::move(other.deviating_)),
       model_(other.model_),
       rng_(other.rng_),
       trace_(other.trace_),
@@ -50,7 +50,7 @@ ApproxArrayU32& ApproxArrayU32::operator=(ApproxArrayU32&& other) noexcept {
   if (this != &other) {
     FlushStats();
     actual_ = std::move(other.actual_);
-    intended_ = std::move(other.intended_);
+    deviating_ = std::move(other.deviating_);
     model_ = other.model_;
     rng_ = other.rng_;
     trace_ = other.trace_;
@@ -170,11 +170,8 @@ void ApproxArrayU32::CopyFrom(ApproxArrayU32& src) {
 }
 
 size_t ApproxArrayU32::DeviatingElements() const {
-  size_t deviating = 0;
-  for (size_t i = 0; i < actual_.size(); ++i) {
-    if (actual_[i] != intended_[i]) ++deviating;
-  }
-  return deviating;
+  return static_cast<size_t>(
+      std::count(deviating_.begin(), deviating_.end(), uint8_t{1}));
 }
 
 double ApproxArrayU32::ErrorRate() const {

@@ -1,10 +1,12 @@
 // Instrumented 32-bit arrays living in a precision domain.
 //
 // ApproxArrayU32 is the analogue of the paper's `approx_alloc` interface:
-// every Get/Set is one simulated memory access. The array tracks, per
-// element, both the value the program intended to store and the value the
-// memory actually holds, so that error rates ("proportion of elements whose
-// values deviate from their original values") can be measured exactly.
+// every Get/Set is one simulated memory access. The array holds the value
+// the memory actually stores for each element and, when a store can differ
+// from the value written (an approximate model or a fault hook), one flag
+// per element saying whether its last write deviated, so that error rates
+// ("proportion of elements whose values deviate from their original
+// values") can be measured exactly.
 #ifndef APPROXMEM_APPROX_APPROX_ARRAY_H_
 #define APPROXMEM_APPROX_APPROX_ARRAY_H_
 
@@ -151,7 +153,12 @@ class ApproxArrayU32 {
 
   /// Peeks at a stored value without accounting (for verification only).
   uint32_t PeekActual(size_t i) const { return actual_[i]; }
-  uint32_t PeekIntended(size_t i) const { return intended_[i]; }
+  /// True when the last write to element `i` stored a value other than the
+  /// one written (never for a precise array without a fault hook).
+  bool IsDeviating(size_t i) const {
+    APPROXMEM_CHECK(i < actual_.size());
+    return !deviating_.empty() && deviating_[i] != 0;
+  }
 
   /// Number of positions where the stored value deviates from the intended
   /// one; ErrorRate() is the paper's "imprecise elements rate".
@@ -211,7 +218,12 @@ class ApproxArrayU32 {
                                     stored);
     }
     actual_[i] = stored;
-    intended_[i] = value;
+    const bool deviated = stored != value;
+    if (!deviating_.empty()) {
+      deviating_[i] = deviated;
+    } else {
+      APPROXMEM_CHECK(!deviated);  // Precise models store what they write.
+    }
     ++stats.word_writes;
     stats.pv_iterations += outcome.pv_iterations;
     if (last_written != static_cast<size_t>(-1) && i == last_written + 1) {
@@ -221,7 +233,7 @@ class ApproxArrayU32 {
       stats.write_cost += outcome.cost;
     }
     last_written = i;
-    if (stored != value) ++stats.corrupted_writes;
+    if (deviated) ++stats.corrupted_writes;
     if (trace_ != nullptr) trace_->AppendWrite(base_address_ + i * 4u);
   }
 
@@ -229,7 +241,11 @@ class ApproxArrayU32 {
                     Rng& rng, MemoryStats& stats, size_t& last_written);
 
   std::vector<uint32_t> actual_;
-  std::vector<uint32_t> intended_;
+  // One flag per element, set when its last write stored a value other than
+  // the one written. Empty when no store can deviate (a precise model and no
+  // fault hook). A byte, not a packed bit: shards write disjoint elements
+  // concurrently, and neighbouring elements must not share a word.
+  std::vector<uint8_t> deviating_;
   WriteModel* model_;
   Rng rng_;
   mem::TraceBuffer* trace_;

@@ -306,8 +306,22 @@ Status RunRefineStage(ApproxStageState& state, const RefineOptions& options,
 
   // ---- Refine stage, step 3 (Listing 2): merge the approximate LIS (re-
   // scanned from ID, skipping REMID members) with the sorted REMID.
-  // Materializing REMIDset costs Rem~ writes, as in the listing.
-  std::unordered_set<uint32_t> remid_set(rem_ids.begin(), rem_ids.end());
+  // Materializing REMIDset costs Rem~ writes, as in the listing. Host-side
+  // membership is one flag per id in [0, n); ids past n come only from a
+  // corrupted ID column and go in a side set.
+  std::vector<uint8_t> in_remid(n, 0);
+  std::unordered_set<uint32_t> remid_out_of_range;
+  for (const uint32_t rem_id : rem_ids) {
+    if (rem_id < n) {
+      in_remid[rem_id] = 1;
+    } else {
+      remid_out_of_range.insert(rem_id);
+    }
+  }
+  const auto in_remid_set = [&](uint32_t rem_id) {
+    return rem_id < n ? in_remid[rem_id] != 0
+                      : remid_out_of_range.count(rem_id) != 0;
+  };
   approx::ApproxArrayU32 remid_set_storage = options.precise_alloc(rem);
   remid_set_storage.Store(rem_ids);
 
@@ -329,7 +343,7 @@ Status RunRefineStage(ApproxStageState& state, const RefineOptions& options,
       bool have_lis = false;
       while (lis_ptr < n) {
         lis_id = id.Get(lis_ptr);
-        if (remid_set.count(lis_id) == 0) {
+        if (!in_remid_set(lis_id)) {
           have_lis = true;
           break;
         }
@@ -368,12 +382,12 @@ Status RunRefineStage(ApproxStageState& state, const RefineOptions& options,
 
   // ---- Verification: exactly sorted, consistent, and a permutation.
   {
-    const std::vector<uint32_t> out_keys = final_key_array.Snapshot();
-    const std::vector<uint32_t> out_ids = final_id_array.Snapshot();
+    std::vector<uint32_t> out_keys = final_key_array.Snapshot();
+    std::vector<uint32_t> out_ids = final_id_array.Snapshot();
     report->verification = VerifyRefineOutput(state.input_keys, out_keys,
                                               out_ids, merge_conserved);
-    if (final_keys != nullptr) *final_keys = out_keys;
-    if (final_ids != nullptr) *final_ids = out_ids;
+    if (final_keys != nullptr) *final_keys = std::move(out_keys);
+    if (final_ids != nullptr) *final_ids = std::move(out_ids);
   }
 
   // ---- Close the ledger: everything the refine stage touched in precise
@@ -439,9 +453,12 @@ StatusOr<PreciseBaselineReport> PreciseSortBaseline(
   }
   report.keys = key_array.stats() + key_scratch;
   report.ids = id_array.stats() + id_scratch;
-  std::vector<uint32_t> out = key_array.Snapshot();
-  report.verified = sortedness::IsSorted(out);
-  if (sorted_keys != nullptr) *sorted_keys = std::move(out);
+  // Checked in place: most callers want the costs, not the sorted keys.
+  report.verified = true;
+  for (size_t i = 1; i < n && report.verified; ++i) {
+    report.verified = key_array.PeekActual(i - 1) <= key_array.PeekActual(i);
+  }
+  if (sorted_keys != nullptr) *sorted_keys = key_array.Snapshot();
   if (sorted_ids != nullptr) *sorted_ids = id_array.Snapshot();
   return report;
 }

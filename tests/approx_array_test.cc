@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "approx/approx_memory.h"
+#include "approx/fault_hook.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 
 namespace approxmem::approx {
 namespace {
@@ -27,6 +33,142 @@ TEST(ApproxArrayTest, PreciseArrayStoresExactly) {
   EXPECT_EQ(array.DeviatingElements(), 0u);
   EXPECT_DOUBLE_EQ(array.ErrorRate(), 0.0);
   EXPECT_TRUE(array.precise());
+  for (size_t i = 0; i < array.size(); ++i) EXPECT_FALSE(array.IsDeviating(i));
+}
+
+// Flips the low bit of every write to `target` while armed.
+struct CorruptOneAddress final : MemoryFaultHook {
+  uint32_t OnWrite(uint64_t address, bool /*precise_domain*/,
+                   uint32_t /*intended*/, uint32_t stored) override {
+    return armed && address == target ? stored ^ 1u : stored;
+  }
+  uint32_t OnRead(uint64_t /*address*/, bool /*precise_domain*/,
+                  uint32_t value) override {
+    return value;
+  }
+  uint64_t target = ~uint64_t{0};
+  bool armed = true;
+};
+
+TEST(ApproxArrayTest, FaultHookDeviationOnPreciseArrayIsCounted) {
+  ApproxMemory::Options options = DefaultOptions();
+  CorruptOneAddress hook;
+  options.fault_hook = &hook;
+  ApproxMemory memory(options);
+  ApproxArrayU32 array = memory.NewPreciseArray(16);
+  ASSERT_TRUE(array.precise());
+  hook.target = array.base_address() + 5 * 4;  // Element 5.
+  for (size_t i = 0; i < array.size(); ++i) array.Set(i, 100 + i);
+  EXPECT_EQ(array.DeviatingElements(), 1u);
+  EXPECT_TRUE(array.IsDeviating(5));
+  EXPECT_FALSE(array.IsDeviating(4));
+  EXPECT_EQ(array.PeekActual(5), 105u ^ 1u);
+  EXPECT_EQ(array.stats().corrupted_writes, 1u);
+  // A clean overwrite of the same element clears its deviation.
+  hook.armed = false;
+  array.Set(5, 7);
+  EXPECT_FALSE(array.IsDeviating(5));
+  EXPECT_EQ(array.DeviatingElements(), 0u);
+}
+
+TEST(ApproxArrayTest, DeviationMatchesIntendedValues) {
+  ApproxMemory memory(DefaultOptions());
+  constexpr size_t kN = 4000;
+  ApproxArrayU32 array = memory.NewApproxArray(kN, 0.12);
+  std::vector<uint32_t> intended(kN, 0);
+  Rng rng(7);
+  const auto random_words = [&rng](size_t count) {
+    std::vector<uint32_t> words(count);
+    for (uint32_t& w : words) w = rng.NextU32();
+    return words;
+  };
+  const auto expect_matches = [&](const char* step) {
+    SCOPED_TRACE(step);
+    size_t expected = 0;
+    for (size_t i = 0; i < kN; ++i) {
+      const bool deviates = array.PeekActual(i) != intended[i];
+      expected += deviates;
+      ASSERT_EQ(array.IsDeviating(i), deviates) << i;
+    }
+    EXPECT_EQ(array.DeviatingElements(), expected);
+    EXPECT_GT(expected, 0u);
+  };
+
+  const std::vector<uint32_t> stored = random_words(kN / 2);
+  array.Store(stored);
+  std::copy(stored.begin(), stored.end(), intended.begin());
+  expect_matches("Store");
+
+  const std::vector<uint32_t> range = random_words(kN / 2 + 101);
+  array.SetRange(kN / 2 - 101, range.data(), range.size());
+  std::copy(range.begin(), range.end(), intended.begin() + (kN / 2 - 101));
+  expect_matches("SetRange");
+
+  ApproxArrayU32 src = memory.NewPreciseArray(kN);
+  const std::vector<uint32_t> copied = random_words(kN);
+  src.Store(copied);
+  array.CopyFrom(src);
+  intended = copied;
+  expect_matches("CopyFrom");
+
+  // Overwrites both clear and set flags.
+  size_t cleared = 0;
+  size_t set = 0;
+  for (size_t i = 0; i < kN; i += 3) {
+    const bool before = array.IsDeviating(i);
+    intended[i] = static_cast<uint32_t>(i);
+    array.Set(i, intended[i]);
+    cleared += before && !array.IsDeviating(i);
+    set += !before && array.IsDeviating(i);
+  }
+  expect_matches("overwrite");
+  EXPECT_GT(cleared, 0u);
+  EXPECT_GT(set, 0u);
+}
+
+TEST(ApproxArrayTest, ConcurrentShardsKeepDeviationFlags) {
+  // Shard boundaries that split bytes, 64-bit words and cache lines, so a
+  // packed per-word flag would be shared between shards.
+  constexpr size_t kN = 20011;
+  const std::vector<size_t> bounds = {0, 13, 77, 5003, 5010, 12345, kN};
+  const size_t shards = bounds.size() - 1;
+  std::vector<uint32_t> values(kN);
+  Rng rng(8);
+  for (uint32_t& v : values) v = rng.NextU32();
+
+  const auto run = [&](ThreadPool* pool) {
+    ApproxMemory memory(DefaultOptions());
+    ApproxArrayU32 array = memory.NewApproxArray(kN, 0.12);
+    EXPECT_TRUE(array.ConcurrentShardSafe());
+    std::vector<ApproxArrayU32::Shard> plan = array.MakeShards(shards);
+    const auto drive = [&](size_t s) {
+      const size_t begin = bounds[s];
+      const size_t end = bounds[s + 1];
+      plan[s].SetRange(begin, &values[begin], end - begin);
+      // Then single-word overwrites across the whole slice, down to the
+      // words next to each boundary.
+      for (size_t i = begin; i < end; i += 2) plan[s].Set(i, values[i] >> 1);
+      plan[s].Set(end - 1, values[end - 1]);
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(0, shards, drive);
+    } else {
+      for (size_t s = 0; s < shards; ++s) drive(s);
+    }
+    array.MergeShards(plan);
+    std::vector<bool> flags(kN);
+    for (size_t i = 0; i < kN; ++i) flags[i] = array.IsDeviating(i);
+    return std::make_tuple(array.DeviatingElements(), array.Snapshot(),
+                           flags);
+  };
+
+  const auto serial = run(nullptr);
+  ThreadPool pool(4);
+  const auto concurrent = run(&pool);
+  EXPECT_GT(std::get<0>(serial), 0u);
+  EXPECT_EQ(std::get<0>(concurrent), std::get<0>(serial));
+  EXPECT_EQ(std::get<1>(concurrent), std::get<1>(serial));
+  EXPECT_EQ(std::get<2>(concurrent), std::get<2>(serial));
 }
 
 TEST(ApproxArrayTest, PreciseWriteCostsOneMicrosecond) {
