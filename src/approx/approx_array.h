@@ -69,7 +69,7 @@ class ApproxArrayU32 {
   /// Reads elements [start, start + count) into out[0, count): one
   /// simulated read each, identical accounting to a Get loop.
   void GetRange(size_t start, uint32_t* out, size_t count) {
-    for (size_t k = 0; k < count; ++k) out[k] = GetImpl(start + k, stats_);
+    GetRangeImpl(start, out, count, stats_);
   }
 
   /// Most elements one Shard::ScatterPaired call takes.
@@ -96,9 +96,7 @@ class ApproxArrayU32 {
       array_->SetRangeImpl(start, values, count, rng_, stats_, last_written_);
     }
     void GetRange(size_t start, uint32_t* out, size_t count) {
-      for (size_t k = 0; k < count; ++k) {
-        out[k] = array_->GetImpl(start + k, stats_);
-      }
+      array_->GetRangeImpl(start, out, count, stats_);
     }
     /// Paired scattered write of at most kScatterBlock elements: writes
     /// key_values[k] to element dest[k] of this shard's array and, when
@@ -126,9 +124,7 @@ class ApproxArrayU32 {
   /// same time: no fault hook (shared mutable state), no trace buffer
   /// (ordered append), and a stateless flat-cost write model. When false,
   /// callers must drive the same shard plan serially, in shard order.
-  bool ConcurrentShardSafe() const {
-    return fault_hook_ == nullptr && trace_ == nullptr && !address_sensitive_;
-  }
+  bool ConcurrentShardSafe() const { return plain_reads_; }
 
   /// Creates `count` shards, splitting one RNG substream per shard off this
   /// array's stream in shard order (so the plan, not the schedule, fixes
@@ -141,11 +137,14 @@ class ApproxArrayU32 {
   /// sequential).
   void MergeShards(std::vector<Shard>& shards);
 
-  /// Writes `values` into the array front (one Set per element).
+  /// Writes `values` into the array front (one Set per element, driven
+  /// through SetRange).
   void Store(const std::vector<uint32_t>& values);
 
   /// Copies all of `src`'s current values into this array, one read from
   /// `src` plus one write here per element (the approx-preparation copy).
+  /// Interleaves the reads and writes per element when either array is
+  /// observed (fault hook or trace); otherwise copies block-wise.
   void CopyFrom(ApproxArrayU32& src);
 
   /// Current stored values, without touching access counters.
@@ -200,6 +199,10 @@ class ApproxArrayU32 {
   void SetImpl(size_t i, uint32_t value, Rng& rng, MemoryStats& stats,
                size_t& last_written) {
     APPROXMEM_CHECK(i < actual_.size());
+    if (plain_) {
+      PlainWrite(i, value, stats, last_written);
+      return;
+    }
     const WordWriteOutcome outcome =
         address_sensitive_
             ? model_->WriteAt(base_address_ + i * 4u, value, rng)
@@ -224,18 +227,35 @@ class ApproxArrayU32 {
     } else {
       APPROXMEM_CHECK(!deviated);  // Precise models store what they write.
     }
-    ++stats.word_writes;
-    stats.pv_iterations += outcome.pv_iterations;
-    if (last_written != static_cast<size_t>(-1) && i == last_written + 1) {
-      stats.write_cost += outcome.cost * seq_discount_;
-      ++stats.sequential_writes;
-    } else {
-      stats.write_cost += outcome.cost;
-    }
-    last_written = i;
+    Accrue(i, outcome.cost, outcome.pv_iterations, stats, last_written);
     if (deviated) ++stats.corrupted_writes;
     if (trace_ != nullptr) trace_->AppendWrite(base_address_ + i * 4u);
   }
+
+  // The write ledger of one word, with the sequential-write rule.
+  void Accrue(size_t i, double cost, double pv_iterations, MemoryStats& stats,
+              size_t& last_written) {
+    ++stats.word_writes;
+    stats.pv_iterations += pv_iterations;
+    if (last_written != static_cast<size_t>(-1) && i == last_written + 1) {
+      stats.write_cost += cost * seq_discount_;
+      ++stats.sequential_writes;
+    } else {
+      stats.write_cost += cost;
+    }
+    last_written = i;
+  }
+
+  // Plain-path write: the value is stored as given and the model's fixed
+  // outcome charged, exactly as Write() plus ApplyWrite() would.
+  void PlainWrite(size_t i, uint32_t value, MemoryStats& stats,
+                  size_t& last_written) {
+    actual_[i] = value;
+    Accrue(i, plain_cost_, plain_pv_, stats, last_written);
+  }
+
+  void GetRangeImpl(size_t start, uint32_t* out, size_t count,
+                    MemoryStats& stats);
 
   void SetRangeImpl(size_t start, const uint32_t* values, size_t count,
                     Rng& rng, MemoryStats& stats, size_t& last_written);
@@ -261,6 +281,15 @@ class ApproxArrayU32 {
   // the model's *At overloads (banked/trace-driven cost sources) instead of
   // the flat cached-cost fast path.
   bool address_sensitive_;
+  // Set when no access is observed from outside (no fault hook, no trace)
+  // and costs are flat: a read is then a copy plus a fixed cost.
+  bool plain_reads_;
+  // plain_reads_ on a precise model: a write is then a store plus the
+  // model's fixed outcome (plain_cost_, plain_pv_), read once at
+  // construction, and never calls the model (see write_model.h).
+  bool plain_;
+  double plain_cost_ = 0.0;
+  double plain_pv_ = 0.0;
   // Index of the most recent write; SIZE_MAX means "none yet", so the very
   // first write is never treated as sequential.
   size_t last_written_;

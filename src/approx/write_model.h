@@ -52,7 +52,11 @@ class WriteModel {
   /// Unit label for reports: "ns" or "energy".
   virtual std::string_view CostUnit() const = 0;
 
-  /// True if writes never corrupt (precise domains).
+  /// True if writes never corrupt (precise domains). A precise model that
+  /// is not AddressSensitive() must also store exactly what it is given, at
+  /// a cost and #P that do not depend on the value, and draw nothing from
+  /// the Rng: arrays read that fixed outcome once, with one probe Write, and
+  /// then store and charge precise words without calling the model.
   virtual bool IsPrecise() const = 0;
 
   /// True when costs depend on the byte address — e.g. a model routed

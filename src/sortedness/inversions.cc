@@ -10,6 +10,8 @@ uint64_t SortAndCount(std::vector<uint32_t>& values,
   const size_t mid = lo + (hi - lo) / 2;
   uint64_t inversions = SortAndCount(values, scratch, lo, mid) +
                         SortAndCount(values, scratch, mid, hi);
+  // Already in order across the halves: no pair straddles mid inverted.
+  if (values[mid - 1] <= values[mid]) return inversions;
   size_t left = lo;
   size_t right = mid;
   for (size_t out = lo; out < hi; ++out) {
@@ -41,6 +43,16 @@ double InversionRatio(uint64_t inversions, size_t n) {
   const double max_pairs =
       static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
   return static_cast<double>(inversions) / max_pairs;
+}
+
+uint64_t InversionCountBruteForce(const std::vector<uint32_t>& values) {
+  uint64_t inversions = 0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    for (size_t j = i + 1; j < values.size(); ++j) {
+      if (values[i] > values[j]) ++inversions;
+    }
+  }
+  return inversions;
 }
 
 }  // namespace approxmem::sortedness

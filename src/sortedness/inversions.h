@@ -22,6 +22,9 @@ double InversionRatio(const std::vector<uint32_t>& values);
 /// values, so a caller holding the count need not merge-sort again.
 double InversionRatio(uint64_t inversions, size_t n);
 
+/// Reference O(n^2) pair count for property tests.
+uint64_t InversionCountBruteForce(const std::vector<uint32_t>& values);
+
 }  // namespace approxmem::sortedness
 
 #endif  // APPROXMEM_SORTEDNESS_INVERSIONS_H_

@@ -11,12 +11,12 @@ size_t LongestNonDecreasingSubsequence(const std::vector<uint32_t>& values) {
   std::vector<uint32_t> tails;
   tails.reserve(values.size() / 4);
   for (const uint32_t v : values) {
-    auto it = std::upper_bound(tails.begin(), tails.end(), v);
-    if (it == tails.end()) {
+    // Nearly sorted input mostly extends the longest pile: skip the search.
+    if (tails.empty() || v >= tails.back()) {
       tails.push_back(v);
-    } else {
-      *it = v;
+      continue;
     }
+    *std::upper_bound(tails.begin(), tails.end(), v) = v;
   }
   return tails.size();
 }
@@ -42,7 +42,10 @@ std::vector<uint8_t> LongestNonDecreasingMembership(
   std::vector<size_t> tail_index;    // Index of that tail element.
   std::vector<size_t> prev(n, kNone);  // Predecessor links.
   for (size_t i = 0; i < n; ++i) {
-    auto it = std::upper_bound(tails.begin(), tails.end(), values[i]);
+    const auto it =
+        tails.empty() || values[i] >= tails.back()
+            ? tails.end()
+            : std::upper_bound(tails.begin(), tails.end(), values[i]);
     const size_t pile = static_cast<size_t>(it - tails.begin());
     prev[i] = pile == 0 ? kNone : tail_index[pile - 1];
     if (it == tails.end()) {

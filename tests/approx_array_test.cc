@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -303,6 +305,203 @@ TEST(ApproxArrayTest, ExactModeMatchesFastModeStatistically) {
   const auto [exact_error, exact_cost] = run(SimulationMode::kExact);
   EXPECT_NEAR(fast_error, exact_error, 0.1 * exact_error + 0.01);
   EXPECT_NEAR(fast_cost, exact_cost, 0.05 * exact_cost);
+}
+
+// Forwards every access unchanged. Installing it takes an array off the
+// plain fast path (a hook observes each access) without changing a value.
+struct PassThroughHook final : MemoryFaultHook {
+  uint32_t OnWrite(uint64_t /*address*/, bool /*precise_domain*/,
+                   uint32_t /*intended*/, uint32_t stored) override {
+    return stored;
+  }
+  uint32_t OnRead(uint64_t /*address*/, bool /*precise_domain*/,
+                  uint32_t value) override {
+    return value;
+  }
+};
+
+// Bitwise ledger equality: the plain path must reproduce every floating-
+// point sum to the last bit, not merely to within rounding.
+void ExpectSameLedger(const MemoryStats& a, const MemoryStats& b) {
+  static_assert(sizeof(MemoryStats) == 8 * sizeof(uint64_t),
+                "MemoryStats has padding; compare it field by field");
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(MemoryStats)), 0)
+      << std::hexfloat << "write_cost " << a.write_cost << " vs "
+      << b.write_cost << ", read_cost " << a.read_cost << " vs "
+      << b.read_cost << ", pv " << a.pv_iterations << " vs "
+      << b.pv_iterations << ", sequential " << a.sequential_writes << " vs "
+      << b.sequential_writes;
+}
+
+struct AccessRun {
+  std::vector<std::vector<uint32_t>> values;
+  std::vector<uint32_t> reads;
+  std::vector<MemoryStats> ledgers;
+};
+
+// One fixed sequence of every access kind over three precise arrays and an
+// approximate one (the sharded scatter pairs it with precise ids).
+AccessRun RunAccessSequence(const std::string& backend, double discount,
+                            MemoryFaultHook* hook) {
+  ApproxMemory::Options options = DefaultOptions();
+  options.backend = backend;
+  options.calibration_trials = 5000;
+  options.sequential_write_discount = discount;
+  options.fault_hook = hook;
+  ApproxMemory memory(options);
+  constexpr size_t kN = 900;
+  ApproxArrayU32 keys = memory.NewPreciseArray(kN);
+  ApproxArrayU32 ids = memory.NewPreciseArray(kN);
+  ApproxArrayU32 copy = memory.NewPreciseArray(kN);
+  ApproxArrayU32 approx_keys =
+      memory.NewApproxArray(kN, memory.backend().default_approx_knob());
+  EXPECT_EQ(keys.ConcurrentShardSafe(), hook == nullptr);
+  Rng rng(21);
+  std::vector<uint32_t> words(kN);
+  for (uint32_t& w : words) w = rng.NextU32();
+  AccessRun run;
+  uint32_t buf[300];
+  const auto read_back = [&](ApproxArrayU32& array, size_t start,
+                             size_t count) {
+    array.GetRange(start, buf, count);
+    run.reads.insert(run.reads.end(), buf, buf + count);
+  };
+
+  // Scalar writes (a sequential run, a repeat, a step back), then chained
+  // SetRange calls that continue, skip, empty-extend and rewind the run,
+  // and a Set that continues the last range.
+  for (size_t i = 0; i < 40; ++i) keys.Set(i, words[i]);
+  keys.Set(500, 1);
+  keys.Set(500, 2);
+  keys.Set(499, 3);
+  keys.SetRange(40, &words[40], 100);
+  keys.SetRange(140, &words[140], 0);
+  keys.SetRange(140, &words[140], 60);
+  keys.SetRange(300, &words[300], 64);
+  keys.SetRange(100, &words[100], 30);
+  keys.Set(130, 7);
+  read_back(keys, 0, 300);
+  run.reads.push_back(keys.Get(499));
+  read_back(keys, 450, 100);
+  ids.Store(words);
+  ids.Store(std::vector<uint32_t>(words.begin(), words.begin() + 77));
+  copy.CopyFrom(keys);
+
+  // Sharded: per shard, paired block scatters (keys with ids, then the
+  // approximate keys with ids, then keys alone), a chained SetRange and a
+  // GetRange over its slice.
+  constexpr size_t kShards = 3;
+  auto key_plan = keys.MakeShards(kShards);
+  auto id_plan = ids.MakeShards(kShards);
+  auto approx_plan = approx_keys.MakeShards(kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    const size_t begin = s * kN / kShards;
+    const size_t end = (s + 1) * kN / kShards;
+    size_t dest[ApproxArrayU32::kScatterBlock];
+    const size_t m = ApproxArrayU32::kScatterBlock;
+    // Descending, then ascending (sequential) destinations.
+    for (size_t k = 0; k < m; ++k) dest[k] = end - 1 - k;
+    key_plan[s].ScatterPaired(dest, &words[begin], &id_plan[s],
+                              &words[end - m], m);
+    for (size_t k = 0; k < m; ++k) dest[k] = begin + k;
+    approx_plan[s].ScatterPaired(dest, &words[begin], &id_plan[s],
+                                 &words[begin + 1], m);
+    key_plan[s].ScatterPaired(dest, &words[end - m], nullptr, nullptr, m / 2);
+    key_plan[s].SetRange(begin + m / 2, &words[begin], 50);
+    key_plan[s].SetRange(begin + m / 2 + 50, &words[begin], 25);
+    key_plan[s].GetRange(begin, buf, end - begin);
+    run.reads.insert(run.reads.end(), buf, buf + (end - begin));
+  }
+  keys.MergeShards(key_plan);
+  ids.MergeShards(id_plan);
+  approx_keys.MergeShards(approx_plan);
+  // The cursor restarts after a merge: this run's first word is not
+  // sequential.
+  keys.SetRange(0, &words[0], 10);
+
+  for (ApproxArrayU32* array : {&keys, &ids, &copy, &approx_keys}) {
+    run.values.push_back(array->Snapshot());
+    run.ledgers.push_back(array->stats());
+  }
+  return run;
+}
+
+TEST(ApproxArrayTest, PlainPathMatchesHookedPathBitForBit) {
+  for (const std::string backend : {"mlc-pcm", "dram-precise", "spintronic"}) {
+    for (const double discount : {1.0, 0.8}) {
+      SCOPED_TRACE(backend + " discount=" + std::to_string(discount));
+      PassThroughHook hook;
+      const AccessRun plain = RunAccessSequence(backend, discount, nullptr);
+      const AccessRun general = RunAccessSequence(backend, discount, &hook);
+      EXPECT_EQ(plain.values, general.values);
+      EXPECT_EQ(plain.reads, general.reads);
+      ASSERT_EQ(plain.ledgers.size(), general.ledgers.size());
+      for (size_t a = 0; a < plain.ledgers.size(); ++a) {
+        SCOPED_TRACE("array " + std::to_string(a));
+        ExpectSameLedger(plain.ledgers[a], general.ledgers[a]);
+      }
+      // The sequence exercises the discount rule on the plain arrays.
+      EXPECT_GT(plain.ledgers[0].sequential_writes, 0u);
+      EXPECT_LT(plain.ledgers[0].sequential_writes,
+                plain.ledgers[0].word_writes);
+    }
+  }
+}
+
+TEST(ApproxArrayTest, ConcurrentPlainShardsMatchSerial) {
+  constexpr size_t kN = 20011;
+  const std::vector<size_t> bounds = {0, 13, 77, 5003, 5010, 12345, kN};
+  const size_t shards = bounds.size() - 1;
+  std::vector<uint32_t> words(kN);
+  Rng rng(9);
+  for (uint32_t& w : words) w = rng.NextU32();
+
+  const auto run = [&](ThreadPool* pool) {
+    ApproxMemory::Options options = DefaultOptions();
+    options.sequential_write_discount = 0.8;
+    ApproxMemory memory(options);
+    ApproxArrayU32 keys = memory.NewPreciseArray(kN);
+    ApproxArrayU32 ids = memory.NewPreciseArray(kN);
+    EXPECT_TRUE(keys.ConcurrentShardSafe());
+    auto key_plan = keys.MakeShards(shards);
+    auto id_plan = ids.MakeShards(shards);
+    std::vector<uint32_t> reads(kN);
+    const auto drive = [&](size_t s) {
+      const size_t begin = bounds[s];
+      const size_t end = bounds[s + 1];
+      for (size_t i = begin; i < end; i += 64) {
+        const size_t m = std::min<size_t>(64, end - i);
+        key_plan[s].SetRange(i, &words[i], m);
+      }
+      key_plan[s].GetRange(begin, &reads[begin], end - begin);
+      // Scatter each block back in reverse order, keys paired with ids.
+      size_t dest[ApproxArrayU32::kScatterBlock];
+      for (size_t i = begin; i < end; i += ApproxArrayU32::kScatterBlock) {
+        const size_t m = std::min(ApproxArrayU32::kScatterBlock, end - i);
+        for (size_t k = 0; k < m; ++k) dest[k] = i + m - 1 - k;
+        key_plan[s].ScatterPaired(dest, &reads[i], &id_plan[s], &words[i], m);
+      }
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(0, shards, drive);
+    } else {
+      for (size_t s = 0; s < shards; ++s) drive(s);
+    }
+    keys.MergeShards(key_plan);
+    ids.MergeShards(id_plan);
+    return std::make_tuple(keys.Snapshot(), ids.Snapshot(), reads,
+                           keys.stats(), ids.stats());
+  };
+
+  const auto serial = run(nullptr);
+  ThreadPool pool(4);
+  const auto concurrent = run(&pool);
+  EXPECT_EQ(std::get<0>(concurrent), std::get<0>(serial));
+  EXPECT_EQ(std::get<1>(concurrent), std::get<1>(serial));
+  EXPECT_EQ(std::get<2>(concurrent), words);
+  EXPECT_EQ(std::get<2>(serial), words);
+  ExpectSameLedger(std::get<3>(concurrent), std::get<3>(serial));
+  ExpectSameLedger(std::get<4>(concurrent), std::get<4>(serial));
 }
 
 }  // namespace

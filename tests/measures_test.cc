@@ -1,12 +1,15 @@
 #include "sortedness/measures.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "approx/approx_memory.h"
 #include "common/random.h"
 #include "sortedness/inversions.h"
+#include "sortedness/lis.h"
 #include "sortedness/shape.h"
 
 namespace approxmem::sortedness {
@@ -35,13 +38,48 @@ TEST(InversionsTest, MatchesBruteForce) {
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<uint32_t> values(1 + rng.UniformInt(80));
     for (auto& v : values) v = static_cast<uint32_t>(rng.UniformInt(16));
-    uint64_t brute = 0;
-    for (size_t i = 0; i < values.size(); ++i) {
-      for (size_t j = i + 1; j < values.size(); ++j) {
-        if (values[i] > values[j]) ++brute;
+    EXPECT_EQ(InversionCount(values), InversionCountBruteForce(values));
+  }
+}
+
+// The LIS and inversion kernels skip work on in-order stretches (append
+// past the last pile tail, no merge across ordered halves). Shapes that
+// take those shortcuts all the time, never, or half the time must still
+// match the O(n^2) references exactly.
+TEST(SortednessKernelTest, FastPathsMatchBruteForceOnShapedInputs) {
+  Rng rng(3);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{17},
+                         size_t{500}, size_t{2000}}) {
+    std::vector<std::pair<const char*, std::vector<uint32_t>>> shapes;
+    shapes.emplace_back("nearly_sorted", NearlySortedKeys(n, n / 50 + 1, rng));
+    std::vector<uint32_t> reversed = NearlySortedKeys(n, 0, rng);
+    std::reverse(reversed.begin(), reversed.end());
+    shapes.emplace_back("reversed", reversed);
+    std::vector<uint32_t> duplicates(n);
+    for (uint32_t& v : duplicates) v = static_cast<uint32_t>(rng.UniformInt(4));
+    shapes.emplace_back("duplicate_heavy", duplicates);
+    std::vector<uint32_t> runs(n);
+    for (size_t i = 0; i < n; ++i) runs[i] = static_cast<uint32_t>(i % 64);
+    shapes.emplace_back("sorted_runs", runs);
+    shapes.emplace_back("all_equal", std::vector<uint32_t>(n, 9));
+    for (const auto& [name, values] : shapes) {
+      SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
+      const size_t lis = LongestNonDecreasingSubsequenceBruteForce(values);
+      EXPECT_EQ(LongestNonDecreasingSubsequence(values), lis);
+      const std::vector<uint8_t> member =
+          LongestNonDecreasingMembership(values);
+      size_t marked = 0;
+      uint32_t tail = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (member[i] == 0) continue;
+        if (marked++ > 0) {
+          EXPECT_GE(values[i], tail);
+        }
+        tail = values[i];
       }
+      EXPECT_EQ(marked, lis);
+      EXPECT_EQ(InversionCount(values), InversionCountBruteForce(values));
     }
-    EXPECT_EQ(InversionCount(values), brute);
   }
 }
 
