@@ -22,12 +22,6 @@ class DramWriteModel final : public WriteModel {
   WordWriteOutcome Write(uint32_t intended, Rng& /*rng*/) override {
     return WordWriteOutcome{intended, kDramAccessNs, 0.0};
   }
-  void WriteBatch(const uint32_t* intended, size_t count, Rng& /*rng*/,
-                  WordWriteOutcome* outcomes) override {
-    for (size_t i = 0; i < count; ++i) {
-      outcomes[i] = WordWriteOutcome{intended[i], kDramAccessNs, 0.0};
-    }
-  }
   double ReadCost() const override { return kDramAccessNs; }
   std::string_view CostUnit() const override { return "ns"; }
   bool IsPrecise() const override { return true; }

@@ -29,13 +29,6 @@ class PrecisePcmWriteModel final : public WriteModel {
   WordWriteOutcome Write(uint32_t intended, Rng& /*rng*/) override {
     return WordWriteOutcome{intended, write_latency_ns_, pv_per_word_};
   }
-  void WriteBatch(const uint32_t* intended, size_t count, Rng& /*rng*/,
-                  WordWriteOutcome* outcomes) override {
-    for (size_t i = 0; i < count; ++i) {
-      outcomes[i] = WordWriteOutcome{intended[i], write_latency_ns_,
-                                     pv_per_word_};
-    }
-  }
   double ReadCost() const override { return read_latency_ns_; }
   std::string_view CostUnit() const override { return "ns"; }
   bool IsPrecise() const override { return true; }

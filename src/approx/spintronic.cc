@@ -130,12 +130,4 @@ WordWriteOutcome PreciseSpintronicWriteModel::Write(uint32_t intended,
   return WordWriteOutcome{intended, write_energy_};
 }
 
-void PreciseSpintronicWriteModel::WriteBatch(const uint32_t* intended,
-                                             size_t count, Rng& /*rng*/,
-                                             WordWriteOutcome* outcomes) {
-  for (size_t i = 0; i < count; ++i) {
-    outcomes[i] = WordWriteOutcome{intended[i], write_energy_};
-  }
-}
-
 }  // namespace approxmem::approx

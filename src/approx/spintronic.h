@@ -74,8 +74,6 @@ class PreciseSpintronicWriteModel final : public WriteModel {
   explicit PreciseSpintronicWriteModel(const SpintronicConfig& reference);
 
   WordWriteOutcome Write(uint32_t intended, Rng& rng) override;
-  void WriteBatch(const uint32_t* intended, size_t count, Rng& rng,
-                  WordWriteOutcome* outcomes) override;
   double ReadCost() const override { return read_energy_; }
   std::string_view CostUnit() const override { return "energy"; }
   bool IsPrecise() const override { return true; }

@@ -63,6 +63,9 @@ class Rng {
   /// with per-draw calls.
   void FillUniformDoubles(double* out, size_t count);
 
+  /// Equal generators produce equal streams from here on.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   uint64_t state_[4];
   double cached_normal_ = 0.0;
