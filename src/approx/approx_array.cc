@@ -20,13 +20,14 @@ ApproxArrayU32::ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
       address_sensitive_(model != nullptr && model->AddressSensitive()),
       plain_reads_(fault_hook == nullptr && trace == nullptr &&
                    !address_sensitive_),
-      plain_(plain_reads_ && precise_ && model != nullptr),
+      plain_(fault_hook == nullptr && trace == nullptr && precise_ &&
+             model != nullptr),
       last_written_(static_cast<size_t>(-1)) {
   // A null model is only legal for empty placeholder arrays.
   APPROXMEM_CHECK(model != nullptr || n == 0);
   if (!precise_ || fault_hook_ != nullptr) deviating_.assign(n, 0);
   if (plain_) {
-    // A precise flat model's outcome does not depend on the value and draws
+    // A precise model's outcome does not depend on the value and draws
     // nothing, so one probe on a copy of the stream fixes every write's.
     // The probe checks the parts of that contract one write can show.
     Rng probe = rng_;
@@ -101,17 +102,10 @@ void ApproxArrayU32::SetRangeImpl(size_t start, const uint32_t* values,
     MemoryStats ledger = stats;
     size_t last = last_written;
     for (size_t i = start; i < start + count; ++i) {
-      Accrue(i, plain_cost_, plain_pv_, ledger, last);
+      Accrue(i, ChargeWrite(i, plain_cost_), plain_pv_, ledger, last);
     }
     stats = ledger;
     last_written = last;
-    return;
-  }
-  if (address_sensitive_) {
-    // Banked/trace-driven models need the address per word; no batch path.
-    for (size_t k = 0; k < count; ++k) {
-      SetImpl(start + k, values[k], rng, stats, last_written);
-    }
     return;
   }
   constexpr size_t kChunkWords = 64;
@@ -134,23 +128,15 @@ void ApproxArrayU32::Shard::ScatterPaired(const size_t* dest,
   APPROXMEM_CHECK(count <= kScatterBlock && ids != this);
   ApproxArrayU32& keys = *array_;
   ApproxArrayU32* id_array = ids != nullptr ? ids->array_ : nullptr;
-  if (keys.address_sensitive_ ||
-      (id_array != nullptr && id_array->address_sensitive_)) {
-    // Banked models share device state across arrays: keep the
-    // per-element key, id interleaving at the model too.
-    for (size_t k = 0; k < count; ++k) {
-      Set(dest[k], key_values[k]);
-      if (ids != nullptr) ids->Set(dest[k], id_values[k]);
-    }
-    return;
-  }
   for (size_t k = 0; k < count; ++k) {
     APPROXMEM_CHECK(dest[k] < keys.size() &&
                     (id_array == nullptr || dest[k] < id_array->size()));
   }
   // Each array draws from its own stream, so batching per array leaves
   // every draw where the interleaved loop puts it; the outcomes are then
-  // applied in element order, key before id. Plain arrays skip the model.
+  // applied (and address-charged) in element order, key before id, so a
+  // banked device shared by both arrays sees the interleaved loop's order.
+  // Plain arrays skip the model.
   WordWriteOutcome key_outcomes[kScatterBlock];
   WordWriteOutcome id_outcomes[kScatterBlock];
   if (!keys.plain_) {

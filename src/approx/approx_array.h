@@ -104,8 +104,8 @@ class ApproxArrayU32 {
     /// array. Bit-identical to the loop
     ///   for k: Set(dest[k], key_values[k]); ids->Set(dest[k], id_values[k]);
     /// — stored values, ledgers, RNG states, and the order of fault-hook
-    /// calls and trace events — but each array's model runs one WriteBatch
-    /// over the block. Address-sensitive arrays run that loop as is.
+    /// calls, trace events and address-sensitive charges — but each array's
+    /// model runs one WriteBatch over the block.
     void ScatterPaired(const size_t* dest, const uint32_t* key_values,
                        Shard* ids, const uint32_t* id_values, size_t count);
     const MemoryStats& stats() const { return stats_; }
@@ -203,18 +203,23 @@ class ApproxArrayU32 {
       PlainWrite(i, value, stats, last_written);
       return;
     }
-    const WordWriteOutcome outcome =
-        address_sensitive_
-            ? model_->WriteAt(base_address_ + i * 4u, value, rng)
-            : model_->Write(value, rng);
-    ApplyWrite(i, value, outcome, stats, last_written);
+    ApplyWrite(i, value, model_->Write(value, rng), stats, last_written);
+  }
+
+  // The cost to book for a write of `cost` to element `i`: an
+  // address-sensitive model charges it at the element's address.
+  double ChargeWrite(size_t i, double cost) {
+    return address_sensitive_
+               ? model_->ChargeWriteAt(base_address_ + i * 4u, cost)
+               : cost;
   }
 
   // Post-model bookkeeping shared by the scalar and batched write paths:
-  // fault-hook observation, value stores, and stats accrual (in the same
-  // floating-point order either way).
+  // the address charge, fault-hook observation, value stores, and stats
+  // accrual (in the same order and floating-point order either way).
   void ApplyWrite(size_t i, uint32_t value, const WordWriteOutcome& outcome,
                   MemoryStats& stats, size_t& last_written) {
+    const double cost = ChargeWrite(i, outcome.cost);
     uint32_t stored = outcome.stored;
     if (fault_hook_ != nullptr) {
       stored = fault_hook_->OnWrite(base_address_ + i * 4u, precise_, value,
@@ -227,7 +232,7 @@ class ApproxArrayU32 {
     } else {
       APPROXMEM_CHECK(!deviated);  // Precise models store what they write.
     }
-    Accrue(i, outcome.cost, outcome.pv_iterations, stats, last_written);
+    Accrue(i, cost, outcome.pv_iterations, stats, last_written);
     if (deviated) ++stats.corrupted_writes;
     if (trace_ != nullptr) trace_->AppendWrite(base_address_ + i * 4u);
   }
@@ -251,7 +256,7 @@ class ApproxArrayU32 {
   void PlainWrite(size_t i, uint32_t value, MemoryStats& stats,
                   size_t& last_written) {
     actual_[i] = value;
-    Accrue(i, plain_cost_, plain_pv_, stats, last_written);
+    Accrue(i, ChargeWrite(i, plain_cost_), plain_pv_, stats, last_written);
   }
 
   void GetRangeImpl(size_t start, uint32_t* out, size_t count,
@@ -277,16 +282,18 @@ class ApproxArrayU32 {
   // Get/Set report the precision domain to the fault hook without a
   // virtual call per access.
   bool precise_;
-  // Cached model_->AddressSensitive(); when set, every access goes through
-  // the model's *At overloads (banked/trace-driven cost sources) instead of
-  // the flat cached-cost fast path.
+  // Cached model_->AddressSensitive(); when set, every read asks the
+  // model's ReadCostAt and every written word's cost goes through its
+  // ChargeWriteAt (banked/trace-driven cost sources) instead of being
+  // booked flat.
   bool address_sensitive_;
   // Set when no access is observed from outside (no fault hook, no trace)
   // and costs are flat: a read is then a copy plus a fixed cost.
   bool plain_reads_;
-  // plain_reads_ on a precise model: a write is then a store plus the
-  // model's fixed outcome (plain_cost_, plain_pv_), read once at
-  // construction, and never calls the model (see write_model.h).
+  // No fault hook and no trace on a precise model: a write is then a store
+  // plus the model's fixed outcome (plain_cost_, plain_pv_), read once at
+  // construction, charged through ChargeWrite, and never calls Write()
+  // (see write_model.h).
   bool plain_;
   double plain_cost_ = 0.0;
   double plain_pv_ = 0.0;

@@ -32,19 +32,20 @@ class BankedWriteModel final : public WriteModel {
   BankedWriteModel(WriteModel* inner, mem::MemorySystem* system)
       : inner_(inner), system_(system) {}
 
+  // Stored values, #P and draws are the inner model's, address-free; the
+  // array then charges each word through ChargeWriteAt in write order.
   WordWriteOutcome Write(uint32_t intended, Rng& rng) override {
-    // Address-free fallback (never hit through ApproxArrayU32, which sees
-    // AddressSensitive() and uses WriteAt): flat inner costs.
     return inner_->Write(intended, rng);
   }
+  void WriteBatch(const uint32_t* intended, size_t count, Rng& rng,
+                  WordWriteOutcome* outcomes) override {
+    inner_->WriteBatch(intended, count, rng, outcomes);
+  }
 
-  WordWriteOutcome WriteAt(uint64_t address, uint32_t intended,
-                           Rng& rng) override {
-    WordWriteOutcome outcome = inner_->Write(intended, rng);
+  double ChargeWriteAt(uint64_t address, double cost) override {
     const double stall_before = system_->pcm().Stats().write_stall_ns;
-    system_->Write(address, outcome.cost);
-    outcome.cost += system_->pcm().Stats().write_stall_ns - stall_before;
-    return outcome;
+    system_->Write(address, cost);
+    return cost + (system_->pcm().Stats().write_stall_ns - stall_before);
   }
 
   double ReadCost() const override { return inner_->ReadCost(); }

@@ -52,25 +52,27 @@ class WriteModel {
   /// Unit label for reports: "ns" or "energy".
   virtual std::string_view CostUnit() const = 0;
 
-  /// True if writes never corrupt (precise domains). A precise model that
-  /// is not AddressSensitive() must also store exactly what it is given, at
-  /// a cost and #P that do not depend on the value, and draw nothing from
-  /// the Rng: arrays read that fixed outcome once, with one probe Write, and
-  /// then store and charge precise words without calling the model.
+  /// True if writes never corrupt (precise domains). Every precise model's
+  /// Write() stores exactly what it is given, at a cost and #P that do not
+  /// depend on the value, and draws nothing from the Rng: arrays read that
+  /// fixed outcome once, with one probe Write, and then store and charge
+  /// precise words without calling Write(). Addresses never enter Write();
+  /// they reach a model only through ChargeWriteAt() and ReadCostAt().
   virtual bool IsPrecise() const = 0;
 
   /// True when costs depend on the byte address — e.g. a model routed
   /// through the banked-PCM simulator, where a write may stall behind a
   /// full bank queue and a read may hit a cache level. Arrays consult this
-  /// once at construction: address-sensitive models get the *At overloads
-  /// per access; flat models keep the cached-cost fast path.
+  /// once at construction: address-sensitive models get one ChargeWriteAt()
+  /// per written word and one ReadCostAt() per read word; flat models keep
+  /// the cached-cost fast path.
   virtual bool AddressSensitive() const { return false; }
 
-  /// Address-aware write; only called when AddressSensitive(). The default
-  /// ignores the address.
-  virtual WordWriteOutcome WriteAt(uint64_t /*address*/, uint32_t intended,
-                                   Rng& rng) {
-    return Write(intended, rng);
+  /// Charges one word write of outcome cost `cost` at `address` and returns
+  /// the cost to book; only called when AddressSensitive(), once per word,
+  /// in write order. The default books `cost` as is.
+  virtual double ChargeWriteAt(uint64_t /*address*/, double cost) {
+    return cost;
   }
 
   /// Address-aware read cost; only called when AddressSensitive().

@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <bit>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -43,7 +44,7 @@ Status CacheConfig::Validate() const {
 }
 
 Cache::LineTable::LineTable(size_t count) : count_(count) {
-  static_assert(std::is_trivially_copyable_v<Line>);
+  static_assert(std::is_trivially_copyable_v<Line> && sizeof(Line) == 16);
   void* pages = mmap(nullptr, count * sizeof(Line), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (pages == MAP_FAILED) throw std::bad_alloc();
@@ -67,12 +68,14 @@ Cache::LineTable::~LineTable() {
 Cache::Cache(const CacheConfig& config)
     : config_(config),
       num_sets_(NumSets(config)),
+      line_shift_(static_cast<uint32_t>(std::countr_zero(config.line_bytes))),
+      set_shift_(static_cast<uint32_t>(std::countr_zero(num_sets_))),
       lines_(static_cast<size_t>(num_sets_) * config.ways) {}
 
 int Cache::FindWay(uint32_t set, uint64_t tag) const {
   const Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
   for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) return static_cast<int>(w);
+    if (base[w].tag_plus_one == tag + 1) return static_cast<int>(w);
   }
   return -1;
 }
@@ -87,7 +90,7 @@ void Cache::Install(uint32_t set, uint64_t tag) {
   uint32_t victim = 0;
   uint64_t oldest = ~uint64_t{0};
   for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (!base[w].valid) {
+    if (base[w].tag_plus_one == 0) {
       victim = w;
       break;
     }
@@ -96,37 +99,50 @@ void Cache::Install(uint32_t set, uint64_t tag) {
       victim = w;
     }
   }
-  base[victim] = Line{tag, ++clock_, true};
+  base[victim] = Line{tag + 1, ++clock_};
+}
+
+bool Cache::Access(uint64_t line, bool allocate) {
+  const uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
+  const uint64_t tag = line >> set_shift_;
+  const int way = FindWay(set, tag);
+  if (way >= 0) {
+    Touch(set, way);
+    ++hits_;
+    return true;
+  }
+  ++misses_;
+  if (allocate) Install(set, tag);
+  return false;
 }
 
 bool Cache::AccessRead(uint64_t address) {
-  const uint64_t line = address / config_.line_bytes;
-  const uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
-  const uint64_t tag = line / num_sets_;
-  const int way = FindWay(set, tag);
-  if (way >= 0) {
-    Touch(set, way);
+  const uint64_t line = address >> line_shift_;
+  if (line == memo_line_ && memo_present_) {
     ++hits_;
     return true;
   }
-  ++misses_;
-  Install(set, tag);
-  return false;
+  const bool hit = Access(line, /*allocate=*/true);
+  memo_line_ = line;
+  memo_present_ = true;
+  return hit;
 }
 
 bool Cache::AccessWrite(uint64_t address) {
-  const uint64_t line = address / config_.line_bytes;
-  const uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
-  const uint64_t tag = line / num_sets_;
-  const int way = FindWay(set, tag);
-  if (way >= 0) {
-    Touch(set, way);
-    ++hits_;
-    return true;
+  const uint64_t line = address >> line_shift_;
+  if (line == memo_line_) {
+    // Write-through, no-write-allocate: an absent line stays absent.
+    if (memo_present_) {
+      ++hits_;
+    } else {
+      ++misses_;
+    }
+    return memo_present_;
   }
-  // Write-through, no-write-allocate: a miss just passes through.
-  ++misses_;
-  return false;
+  const bool hit = Access(line, /*allocate=*/false);
+  memo_line_ = line;
+  memo_present_ = hit;
+  return hit;
 }
 
 void Cache::ResetStats() {
@@ -136,6 +152,8 @@ void Cache::ResetStats() {
 
 void Cache::Flush() {
   for (size_t i = 0; i < lines_.size(); ++i) lines_[i] = Line{};
+  memo_line_ = ~uint64_t{0};
+  memo_present_ = false;
 }
 
 CacheHierarchy CacheHierarchy::PaperDefault() {

@@ -23,6 +23,11 @@ struct CacheConfig {
 };
 
 /// One set-associative, write-through, no-write-allocate LRU cache level.
+///
+/// A repeat access to the line of the previous access answers from a
+/// one-entry memo without searching its set: that line already holds the
+/// newest recency stamp (or is known absent), so skipping the re-stamp
+/// leaves the LRU order, and thus every later hit and eviction, unchanged.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
@@ -42,15 +47,17 @@ class Cache {
   void Flush();
 
  private:
+  // `tag_plus_one` is the line's tag + 1, so that 0 (the all-zero Line{})
+  // marks an invalid line and a Line packs into 16 bytes. (A tag is below
+  // 2^63 whenever lines are 2 bytes or more.)
   struct Line {
-    uint64_t tag = 0;
+    uint64_t tag_plus_one = 0;
     uint64_t last_used = 0;
-    bool valid = false;
   };
 
   /// Line storage mapped straight from the OS, not the heap: its zero
   /// pages (all-zero bytes are Line{}) become resident only as sets are
-  /// first touched, and go back on destruction. A Table 1 L3 holds 12 MiB
+  /// first touched, and go back on destruction. A Table 1 L3 holds 8 MiB
   /// of lines; from the heap it would be zero-filled up front and, once
   /// the allocator's mmap threshold had risen past that size, carved from
   /// whichever thread's arena asked, so resident memory varied by run.
@@ -74,11 +81,19 @@ class Cache {
   int FindWay(uint32_t set, uint64_t tag) const;
   void Touch(uint32_t set, int way);
   void Install(uint32_t set, uint64_t tag);
+  // Searches for `line`, re-stamping it on a hit; on a miss installs it if
+  // `allocate`. Returns true on hit.
+  bool Access(uint64_t line, bool allocate);
 
   CacheConfig config_;
   uint32_t num_sets_;
+  uint32_t line_shift_;  // log2(line_bytes)
+  uint32_t set_shift_;   // log2(num_sets_)
   LineTable lines_;  // num_sets_ * ways, row-major by set.
   uint64_t clock_ = 0;
+  // The line of the previous access and whether it was resident after it.
+  uint64_t memo_line_ = ~uint64_t{0};
+  bool memo_present_ = false;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "mem/pcm.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
@@ -25,18 +26,24 @@ Status PcmConfig::Validate() const {
   return Status::Ok();
 }
 
-PcmSimulator::PcmSimulator(const PcmConfig& config) : config_(config) {
+PcmSimulator::PcmSimulator(const PcmConfig& config)
+    : config_(config),
+      page_shift_(static_cast<uint32_t>(std::countr_zero(config.page_bytes))),
+      banks_pow2_(std::has_single_bit(config.TotalBanks())) {
   APPROXMEM_CHECK_OK(config.Validate());
   banks_.resize(config.TotalBanks());
+  for (Bank& bank : banks_) bank.ring.resize(config.write_queue_depth);
 }
 
 uint32_t PcmSimulator::BankOf(uint64_t address) const {
-  return static_cast<uint32_t>((address / config_.page_bytes) %
-                               config_.TotalBanks());
+  const uint64_t page = address >> page_shift_;
+  const uint32_t banks = config_.TotalBanks();
+  return static_cast<uint32_t>(banks_pow2_ ? page & (banks - 1)
+                                           : page % banks);
 }
 
 uint64_t PcmSimulator::RowOf(uint64_t address) const {
-  return address / config_.page_bytes;
+  return address >> page_shift_;
 }
 
 double PcmSimulator::ServiceLatency(Bank& bank, uint64_t row,
@@ -51,21 +58,21 @@ double PcmSimulator::ServiceLatency(Bank& bank, uint64_t row,
 
 void PcmSimulator::PumpBank(Bank& bank, double now) {
   // Start queued writes back-to-back while the bank frees up before `now`.
-  while (!bank.write_queue.empty() && bank.inflight_end_ns <= now) {
-    const QueuedWrite& write = bank.write_queue.front();
+  while (bank.queued > 0 && bank.inflight_end_ns <= now) {
+    const QueuedWrite& write = bank.Front();
     const double start = std::max(write.arrival_ns, bank.inflight_end_ns);
     if (start > now) break;
     const double service = ServiceLatency(bank, write.row, write.service_ns);
     bank.inflight_end_ns = start + service;
     stats_.total_write_latency_ns += service;
-    bank.write_queue.pop_front();
+    bank.PopFront();
   }
 }
 
 double PcmSimulator::DrainOneWrite(Bank& bank) {
-  APPROXMEM_CHECK(!bank.write_queue.empty());
-  const QueuedWrite write = bank.write_queue.front();
-  bank.write_queue.pop_front();
+  APPROXMEM_CHECK(bank.queued > 0);
+  const QueuedWrite write = bank.Front();
+  bank.PopFront();
   const double start = std::max(write.arrival_ns, bank.inflight_end_ns);
   const double service = ServiceLatency(bank, write.row, write.service_ns);
   bank.inflight_end_ns = start + service;
@@ -107,7 +114,7 @@ void PcmSimulator::Write(uint64_t address) {
 void PcmSimulator::Write(uint64_t address, double service_latency_ns) {
   Bank& bank = banks_[BankOf(address)];
   PumpBank(bank, cpu_time_ns_);
-  if (bank.write_queue.size() >= config_.write_queue_depth) {
+  if (bank.queued == config_.write_queue_depth) {
     // Full write queue: the CPU stalls until the oldest write drains.
     const double freed_at = DrainOneWrite(bank);
     if (freed_at > cpu_time_ns_) {
@@ -116,7 +123,7 @@ void PcmSimulator::Write(uint64_t address, double service_latency_ns) {
     }
     ++stats_.write_queue_full_events;
   }
-  bank.write_queue.push_back(
+  bank.PushBack(
       QueuedWrite{cpu_time_ns_,
                   service_latency_ns * FaultFactor(address, AccessKind::kWrite),
                   RowOf(address)});
@@ -126,7 +133,7 @@ void PcmSimulator::Write(uint64_t address, double service_latency_ns) {
 void PcmSimulator::Finish() {
   double completion = cpu_time_ns_;
   for (auto& bank : banks_) {
-    while (!bank.write_queue.empty()) {
+    while (bank.queued > 0) {
       DrainOneWrite(bank);
     }
     completion = std::max(completion, bank.inflight_end_ns);

@@ -10,7 +10,6 @@
 #define APPROXMEM_MEM_PCM_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/status.h"
@@ -120,8 +119,23 @@ class PcmSimulator {
     // The row (page) currently held in the bank's row buffer; kNoRow when
     // nothing is open.
     uint64_t open_row = ~uint64_t{0};
-    // Posted writes not yet started.
-    std::deque<QueuedWrite> write_queue;
+    // Posted writes not yet started: a ring of write_queue_depth slots,
+    // `queued` of them live from `head` on.
+    std::vector<QueuedWrite> ring;
+    uint32_t head = 0;
+    uint32_t queued = 0;
+
+    const QueuedWrite& Front() const { return ring[head]; }
+    void PopFront() {
+      head = head + 1 == ring.size() ? 0 : head + 1;
+      --queued;
+    }
+    void PushBack(const QueuedWrite& write) {
+      size_t slot = head + queued;
+      if (slot >= ring.size()) slot -= ring.size();
+      ring[slot] = write;
+      ++queued;
+    }
   };
 
   // Effective service latency of an access to `row` on `bank`, applying
@@ -139,6 +153,9 @@ class PcmSimulator {
   double FaultFactor(uint64_t address, AccessKind kind);
 
   PcmConfig config_;
+  uint32_t page_shift_;  // log2(page_bytes)
+  // True when TotalBanks() is a power of two: BankOf masks, else divides.
+  bool banks_pow2_;
   std::vector<Bank> banks_;
   PcmStats stats_;
   PcmFaultListener* faults_ = nullptr;

@@ -2,9 +2,10 @@
 // counterparts: the span word codec, the calibrated batch error sampler's
 // block-uniform first-error scan, WriteModel::WriteBatch on every model
 // the backends hand out for flat-cost arrays, and the paired block scatter
-// the radix sorts write through. The batched paths exist purely for speed —
-// every observable (outcomes, costs, RNG stream position, fault-hook and
-// trace order) must be bit-identical to the per-word loops they replace.
+// and SetRange the sorts write through (on the banked device too). The
+// batched paths exist purely for speed — every observable (outcomes, costs,
+// RNG stream position, fault-hook and trace order, banked device state)
+// must be bit-identical to the per-word loops they replace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "approx/approx_array.h"
@@ -19,6 +21,7 @@
 #include "approx/memory_backend.h"
 #include "approx/write_model.h"
 #include "common/random.h"
+#include "mem/memory_system.h"
 #include "mem/trace.h"
 #include "mlc/calibration.h"
 #include "mlc/mlc_config.h"
@@ -245,6 +248,69 @@ TEST(WriteModelBatchTest, PreciseModelsWriteBatchMatchesScalarWrites) {
   }
 }
 
+void ExpectSameLedger(const approx::MemoryStats& a,
+                      const approx::MemoryStats& b) {
+  EXPECT_EQ(a.word_reads, b.word_reads);
+  EXPECT_EQ(a.word_writes, b.word_writes);
+  EXPECT_EQ(a.write_cost, b.write_cost);
+  EXPECT_EQ(a.read_cost, b.read_cost);
+  EXPECT_EQ(a.corrupted_writes, b.corrupted_writes);
+  EXPECT_EQ(a.sequential_writes, b.sequential_writes);
+  EXPECT_EQ(a.pv_iterations, b.pv_iterations);
+}
+
+// The state of a backend's shared banked device (all zero when the backend
+// has none), read after draining its queues.
+struct DeviceState {
+  mem::MemorySystemStats system;
+  mem::PcmStats pcm;
+  uint64_t cache_hits[3] = {};
+  uint64_t cache_misses[3] = {};
+};
+
+DeviceState CaptureDevice(approx::ApproxMemory& memory) {
+  DeviceState state;
+  mem::MemorySystem* device = memory.backend().cost_system();
+  if (device == nullptr) return state;
+  state.system = device->Finish();
+  state.pcm = device->pcm().Stats();
+  const mem::Cache* levels[3] = {&device->hierarchy().l1(),
+                                 &device->hierarchy().l2(),
+                                 &device->hierarchy().l3()};
+  for (int l = 0; l < 3; ++l) {
+    state.cache_hits[l] = levels[l]->hits();
+    state.cache_misses[l] = levels[l]->misses();
+  }
+  return state;
+}
+
+void ExpectSameDevice(const DeviceState& a, const DeviceState& b) {
+  EXPECT_EQ(a.system.reads, b.system.reads);
+  EXPECT_EQ(a.system.writes, b.system.writes);
+  EXPECT_EQ(a.system.l1_read_hits, b.system.l1_read_hits);
+  EXPECT_EQ(a.system.l2_read_hits, b.system.l2_read_hits);
+  EXPECT_EQ(a.system.l3_read_hits, b.system.l3_read_hits);
+  EXPECT_EQ(a.system.memory_reads, b.system.memory_reads);
+  EXPECT_EQ(a.system.total_read_latency_ns, b.system.total_read_latency_ns);
+  EXPECT_EQ(a.system.total_write_latency_ns, b.system.total_write_latency_ns);
+  EXPECT_EQ(a.system.write_stall_ns, b.system.write_stall_ns);
+  EXPECT_EQ(a.system.completion_time_ns, b.system.completion_time_ns);
+  EXPECT_EQ(a.pcm.reads, b.pcm.reads);
+  EXPECT_EQ(a.pcm.writes, b.pcm.writes);
+  EXPECT_EQ(a.pcm.faulted_accesses, b.pcm.faulted_accesses);
+  EXPECT_EQ(a.pcm.total_read_latency_ns, b.pcm.total_read_latency_ns);
+  EXPECT_EQ(a.pcm.total_write_latency_ns, b.pcm.total_write_latency_ns);
+  EXPECT_EQ(a.pcm.read_queue_wait_ns, b.pcm.read_queue_wait_ns);
+  EXPECT_EQ(a.pcm.write_stall_ns, b.pcm.write_stall_ns);
+  EXPECT_EQ(a.pcm.write_queue_full_events, b.pcm.write_queue_full_events);
+  EXPECT_EQ(a.pcm.row_buffer_hits, b.pcm.row_buffer_hits);
+  EXPECT_EQ(a.pcm.completion_time_ns, b.pcm.completion_time_ns);
+  for (int l = 0; l < 3; ++l) {
+    EXPECT_EQ(a.cache_hits[l], b.cache_hits[l]) << "L" << l + 1;
+    EXPECT_EQ(a.cache_misses[l], b.cache_misses[l]) << "L" << l + 1;
+  }
+}
+
 // Scattered elements per run; the probe runs are stored after them.
 constexpr size_t kScatterElems = 4096;
 
@@ -255,6 +321,7 @@ struct ScatterRun {
   std::vector<approx::MemoryStats> stats;
   std::vector<mem::MemEvent> trace;
   uint64_t injected_write_faults = 0;
+  DeviceState device;
 };
 
 // An LSD-like scatter of random keys (with ids) from two stripes into
@@ -262,8 +329,11 @@ struct ScatterRun {
 // jumps. `batched` drives Shard::ScatterPaired in blocks of varying size;
 // otherwise the per-element interleaved Set loop it replaces. Each shard
 // then writes a probe run past the scattered region, so the stored probe
-// words show where the shard's stream stood after the scatter.
-ScatterRun RunStripedScatter(std::string_view backend, bool batched) {
+// words show where the shard's stream stood after the scatter. An
+// `observed` run adds a trace buffer and a fault injector (also listening
+// at the banked device); otherwise the precise ids take the plain path.
+ScatterRun RunStripedScatter(std::string_view backend, bool batched,
+                             bool observed) {
   testing::FaultInjector injector(testing::FaultPlan::ApproxStorm(9));
   mem::TraceBuffer trace;
   approx::ApproxMemory::Options options;
@@ -271,9 +341,14 @@ ScatterRun RunStripedScatter(std::string_view backend, bool batched) {
   options.calibration_trials = 5000;
   options.seed = 5;
   options.sequential_write_discount = 0.5;
-  options.trace = &trace;
-  options.fault_hook = &injector;
+  if (observed) {
+    options.trace = &trace;
+    options.fault_hook = &injector;
+  }
   approx::ApproxMemory memory(options);
+  if (observed && memory.backend().cost_system() != nullptr) {
+    memory.backend().cost_system()->pcm().SetFaultListener(&injector);
+  }
 
   constexpr size_t kN = kScatterElems;
   constexpr size_t kStripes = 2;
@@ -346,52 +421,131 @@ ScatterRun RunStripedScatter(std::string_view backend, bool batched) {
   }
   run.trace = trace.events();
   run.injected_write_faults = injector.injected_write_faults();
+  run.device = CaptureDevice(memory);
   return run;
 }
 
 TEST(ScatterPairedTest, MatchesInterleavedSetLoop) {
-  // On the banked model, address-sensitive arrays share the device's queue
-  // state, so the paired scatter keeps the key, id interleaving at the
-  // model as well.
+  // On the banked model, both arrays share the device's cache and queue
+  // state, so the paired scatter must charge it in the loop's key, id
+  // order: the device ends in the same state.
   for (std::string_view backend :
        {approx::kPcmBackendName, approx::kBankedPcmBackendName}) {
-    SCOPED_TRACE(std::string(backend));
-    const ScatterRun batched = RunStripedScatter(backend, true);
-    const ScatterRun loop = RunStripedScatter(backend, false);
-    EXPECT_EQ(batched.key_actual, loop.key_actual);
-    EXPECT_EQ(batched.key_deviating, loop.key_deviating);
-    EXPECT_EQ(batched.id_actual, loop.id_actual);
-    EXPECT_EQ(batched.id_deviating, loop.id_deviating);
-    ASSERT_EQ(batched.stats.size(), loop.stats.size());
-    for (size_t k = 0; k < loop.stats.size(); ++k) {
-      SCOPED_TRACE("ledger " + std::to_string(k));
-      const approx::MemoryStats& a = batched.stats[k];
-      const approx::MemoryStats& b = loop.stats[k];
-      EXPECT_EQ(a.word_reads, b.word_reads);
-      EXPECT_EQ(a.word_writes, b.word_writes);
-      EXPECT_EQ(a.write_cost, b.write_cost);
-      EXPECT_EQ(a.read_cost, b.read_cost);
-      EXPECT_EQ(a.corrupted_writes, b.corrupted_writes);
-      EXPECT_EQ(a.sequential_writes, b.sequential_writes);
-      EXPECT_EQ(a.pv_iterations, b.pv_iterations);
+    for (const bool observed : {true, false}) {
+      SCOPED_TRACE(std::string(backend) + (observed ? " observed" : ""));
+      const ScatterRun batched = RunStripedScatter(backend, true, observed);
+      const ScatterRun loop = RunStripedScatter(backend, false, observed);
+      EXPECT_EQ(batched.key_actual, loop.key_actual);
+      EXPECT_EQ(batched.key_deviating, loop.key_deviating);
+      EXPECT_EQ(batched.id_actual, loop.id_actual);
+      EXPECT_EQ(batched.id_deviating, loop.id_deviating);
+      ASSERT_EQ(batched.stats.size(), loop.stats.size());
+      for (size_t k = 0; k < loop.stats.size(); ++k) {
+        SCOPED_TRACE("ledger " + std::to_string(k));
+        ExpectSameLedger(batched.stats[k], loop.stats[k]);
+      }
+      ExpectSameDevice(batched.device, loop.device);
+      ASSERT_EQ(batched.trace.size(), loop.trace.size());
+      for (size_t e = 0; e < loop.trace.size(); ++e) {
+        ASSERT_EQ(batched.trace[e].address, loop.trace[e].address) << e;
+        ASSERT_EQ(batched.trace[e].kind, loop.trace[e].kind) << e;
+      }
+      EXPECT_EQ(batched.injected_write_faults, loop.injected_write_faults);
+      // Not vacuous: the model corrupted words, the windows produced
+      // sequential runs for the discount, the probe runs (which read the
+      // streams' positions) hold corrupted words, the hook fired when
+      // installed, and the banked device stalled on full queues.
+      EXPECT_GT(loop.stats[0].corrupted_writes, 0u);
+      EXPECT_GT(loop.stats[0].sequential_writes, 0u);
+      size_t probe_corrupted = 0;
+      for (size_t i = kScatterElems; i < loop.key_actual.size(); ++i) {
+        probe_corrupted += loop.key_deviating[i];
+      }
+      EXPECT_GT(probe_corrupted, 0u);
+      if (observed) {
+        EXPECT_GT(loop.injected_write_faults, 0u);
+      }
+      if (backend == approx::kBankedPcmBackendName) {
+        EXPECT_GT(loop.device.pcm.write_queue_full_events, 0u);
+      }
     }
-    ASSERT_EQ(batched.trace.size(), loop.trace.size());
-    for (size_t e = 0; e < loop.trace.size(); ++e) {
-      ASSERT_EQ(batched.trace[e].address, loop.trace[e].address) << e;
-      ASSERT_EQ(batched.trace[e].kind, loop.trace[e].kind) << e;
+  }
+}
+
+// Everything a banked SetRange run can touch, captured after the fact.
+struct RangeRun {
+  std::vector<uint32_t> actual;
+  std::vector<bool> deviating;
+  approx::MemoryStats stats, other_stats;
+  uint64_t injected_write_faults = 0;
+  DeviceState device;
+};
+
+// Writes a fixed series of ranges (chained, empty, rewinding, longer than
+// the 64-word batch chunk, page-crossing) into one banked array, with a
+// read and a write to a second array on the same device between ranges.
+// `ranged` drives SetRange; otherwise the Set loop it replaces.
+RangeRun RunBankedRanges(bool precise, bool hooked, bool ranged) {
+  testing::FaultInjector injector(testing::FaultPlan::ApproxStorm(9));
+  approx::ApproxMemory::Options options;
+  options.backend = std::string(approx::kBankedPcmBackendName);
+  options.calibration_trials = 5000;
+  options.seed = 5;
+  options.sequential_write_discount = 0.5;
+  if (hooked) options.fault_hook = &injector;
+  approx::ApproxMemory memory(options);
+  if (hooked) memory.backend().cost_system()->pcm().SetFaultListener(&injector);
+
+  constexpr size_t kN = 3000;
+  approx::ApproxArrayU32 array = precise ? memory.NewPreciseArray(kN)
+                                         : memory.NewApproxArray(kN, 0.085);
+  approx::ApproxArrayU32 other = memory.NewPreciseArray(kN);
+  const std::vector<uint32_t> values = RandomWords(kN, 0x5e7a);
+  const std::pair<size_t, size_t> pieces[] = {
+      {0, 700}, {700, 1}, {701, 0}, {701, 130}, {100, 64}, {2000, 1000},
+      {831, 500}};
+  for (const auto& [start, count] : pieces) {
+    if (ranged) {
+      array.SetRange(start, &values[start], count);
+    } else {
+      for (size_t i = start; i < start + count; ++i) array.Set(i, values[i]);
     }
-    EXPECT_EQ(batched.injected_write_faults, loop.injected_write_faults);
-    // Not vacuous: the model and the hook both corrupted words, the
-    // windows produced sequential runs for the discount, and the probe
-    // runs (which read the streams' positions) hold corrupted words.
-    EXPECT_GT(loop.injected_write_faults, 0u);
-    EXPECT_GT(loop.stats[0].corrupted_writes, 0u);
-    EXPECT_GT(loop.stats[0].sequential_writes, 0u);
-    size_t probe_corrupted = 0;
-    for (size_t i = kScatterElems; i < loop.key_actual.size(); ++i) {
-      probe_corrupted += loop.key_deviating[i];
+    other.Set(start, array.Get(start));
+  }
+
+  RangeRun run;
+  for (size_t i = 0; i < kN; ++i) {
+    run.actual.push_back(array.PeekActual(i));
+    run.deviating.push_back(array.IsDeviating(i));
+  }
+  run.stats = array.stats();
+  run.other_stats = other.stats();
+  run.injected_write_faults = injector.injected_write_faults();
+  run.device = CaptureDevice(memory);
+  return run;
+}
+
+TEST(SetRangeTest, BankedRangesMatchSetLoop) {
+  for (const bool precise : {true, false}) {
+    for (const bool hooked : {false, true}) {
+      SCOPED_TRACE(std::string(precise ? "precise" : "approx") +
+                   (hooked ? " hooked" : ""));
+      const RangeRun ranged = RunBankedRanges(precise, hooked, true);
+      const RangeRun loop = RunBankedRanges(precise, hooked, false);
+      EXPECT_EQ(ranged.actual, loop.actual);
+      EXPECT_EQ(ranged.deviating, loop.deviating);
+      ExpectSameLedger(ranged.stats, loop.stats);
+      ExpectSameLedger(ranged.other_stats, loop.other_stats);
+      EXPECT_EQ(ranged.injected_write_faults, loop.injected_write_faults);
+      ExpectSameDevice(ranged.device, loop.device);
+      // Not vacuous: sequential runs, full bank queues, and (approx)
+      // corrupted words.
+      EXPECT_GT(loop.stats.sequential_writes, 0u);
+      EXPECT_GT(loop.device.pcm.write_queue_full_events, 0u);
+      if (!precise) {
+        EXPECT_GT(loop.stats.corrupted_writes, 0u);
+      }
     }
-    EXPECT_GT(probe_corrupted, 0u);
   }
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
+
+#include "common/random.h"
 
 namespace approxmem::mem {
 namespace {
@@ -95,6 +101,131 @@ TEST(CacheTest, MoveCarriesLines) {
   assigned = std::move(moved);
   EXPECT_TRUE(assigned.AccessRead(0x0));
   EXPECT_FALSE(assigned.AccessRead(0x40));
+}
+
+// Brute-force LRU: each set is a list of line tags, most recent first.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(const CacheConfig& config)
+      : config_(config),
+        num_sets_(config.capacity_bytes /
+                  (static_cast<uint64_t>(config.ways) * config.line_bytes)),
+        sets_(num_sets_) {}
+
+  bool Access(uint64_t address, bool write) {
+    const uint64_t line = address / config_.line_bytes;
+    std::vector<uint64_t>& set = sets_[line % num_sets_];
+    const auto it = std::find(set.begin(), set.end(), line);
+    const bool hit = it != set.end();
+    if (hit) {
+      set.erase(it);
+      set.insert(set.begin(), line);
+      ++hits_;
+    } else {
+      ++misses_;
+      if (!write) {  // No write-allocate.
+        set.insert(set.begin(), line);
+        if (set.size() > config_.ways) set.pop_back();
+      }
+    }
+    return hit;
+  }
+
+  void Flush() {
+    for (auto& set : sets_) set.clear();
+  }
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  CacheConfig config_;
+  uint64_t num_sets_;
+  std::vector<std::vector<uint64_t>> sets_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+struct Access {
+  uint64_t address;
+  bool write;
+  bool flush_before = false;
+};
+
+// Replays `stream` into a Cache and the reference, access by access.
+void ExpectMatchesReference(const CacheConfig& config,
+                            const std::vector<Access>& stream) {
+  Cache cache(config);
+  ReferenceLru reference(config);
+  for (size_t k = 0; k < stream.size(); ++k) {
+    const Access& access = stream[k];
+    if (access.flush_before) {
+      cache.Flush();
+      reference.Flush();
+    }
+    const bool hit = access.write ? cache.AccessWrite(access.address)
+                                  : cache.AccessRead(access.address);
+    ASSERT_EQ(hit, reference.Access(access.address, access.write))
+        << "access " << k << " address " << access.address
+        << (access.write ? " write" : " read");
+  }
+  EXPECT_EQ(cache.hits(), reference.hits());
+  EXPECT_EQ(cache.misses(), reference.misses());
+  // Not vacuous: the stream both hits and misses.
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.misses(), 0u);
+}
+
+TEST(CacheEquivalenceTest, MatchesBruteForceLruOnEveryStreamShape) {
+  CacheConfig big = SmallCache();  // 64 sets x 8 ways x 64B.
+  big.capacity_bytes = 32 * 1024;
+  big.ways = 8;
+  for (const CacheConfig& config : {SmallCache(), big}) {
+    const uint64_t set_stride =
+        config.capacity_bytes / config.ways;  // Same set, next tag.
+    const uint64_t span = 4 * config.capacity_bytes;
+    Rng rng(config.capacity_bytes);
+    // Word-sized steps, so most accesses repeat the previous line.
+    std::vector<std::pair<std::string, std::vector<Access>>> streams;
+    std::vector<Access> random;
+    for (int k = 0; k < 20000; ++k) {
+      random.push_back({rng.UniformInt(span), rng.UniformInt(4) == 0});
+    }
+    streams.emplace_back("random", random);
+    std::vector<Access> sequential;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (uint64_t a = 0; a < 2 * config.capacity_bytes; a += 4) {
+        sequential.push_back({a, rng.UniformInt(3) == 0});
+      }
+    }
+    streams.emplace_back("sequential", sequential);
+    std::vector<Access> interleaved;
+    for (uint64_t a = 0; a < 3 * config.capacity_bytes; a += 4) {
+      interleaved.push_back({a, false});
+      interleaved.push_back({span + a / 2, (a / 4) % 5 == 0});
+    }
+    streams.emplace_back("two interleaved sequential", interleaved);
+    std::vector<Access> thrash;
+    for (int round = 0; round < 50; ++round) {
+      for (uint64_t w = 0; w <= config.ways; ++w) {
+        for (int repeat = 0; repeat < 3; ++repeat) {
+          thrash.push_back({w * set_stride + 4 * repeat, repeat == 2});
+        }
+      }
+    }
+    streams.emplace_back("same-set thrash", thrash);
+    // A flush between two reads of one line: the second must miss, not
+    // answer from the memo.
+    std::vector<Access> flushed = random;
+    Access& before = flushed[flushed.size() / 2 - 1];
+    before.write = false;
+    flushed[flushed.size() / 2] = {before.address, false, true};
+    streams.emplace_back("flush mid-stream", flushed);
+    for (const auto& [name, stream] : streams) {
+      SCOPED_TRACE(name + " on " + std::to_string(config.capacity_bytes));
+      ExpectMatchesReference(config, stream);
+    }
+  }
 }
 
 TEST(CacheHierarchyTest, PaperDefaultGeometry) {

@@ -16,6 +16,7 @@
 #include "core/engine.h"
 #include "core/resilience.h"
 #include "core/workload.h"
+#include "mem/memory_system.h"
 
 namespace approxmem::approx {
 namespace {
@@ -85,22 +86,23 @@ TEST(BackendContractTest, KnobConstantsAreCoherent) {
 }
 
 // write_model.h's precise-model contract, which ApproxArrayU32's plain
-// path relies on: a precise flat model stores what it is given, at a cost
-// and #P that do not depend on the value, and draws nothing from the Rng.
+// path relies on: every precise model, banked ones included, stores what it
+// is given, at a cost and #P that do not depend on the value, draws nothing
+// from the Rng, and leaves a banked device untouched (addresses enter only
+// through ChargeWriteAt and ReadCostAt).
 TEST(BackendContractTest, PreciseFlatModelsStoreAtFixedCostWithoutDrawing) {
   BackendContext context;
   context.calibration_trials = 2000;
   const std::vector<uint32_t> probes = {0u, 1u, 0x80000000u, 0x12345678u,
                                         0xffffffffu, 0x0f0f0f0fu};
-  size_t flat_backends = 0;
+  size_t checked = 0;
   for (const std::string& name : RegisteredBackendNames()) {
     auto backend = CreateMemoryBackend(name, context);
     ASSERT_TRUE(backend.ok()) << name;
     StatusOr<WriteModel*> model = (*backend)->ModelFor(AllocSpec::Precise(1));
     ASSERT_TRUE(model.ok()) << name;
     ASSERT_TRUE((*model)->IsPrecise()) << name;
-    if ((*model)->AddressSensitive()) continue;
-    ++flat_backends;
+    ++checked;
     Rng rng(99);
     const Rng before = rng;
     const WordWriteOutcome first = (*model)->Write(probes[0], rng);
@@ -118,8 +120,12 @@ TEST(BackendContractTest, PreciseFlatModelsStoreAtFixedCostWithoutDrawing) {
       EXPECT_EQ(batch[k].pv_iterations, first.pv_iterations) << name;
     }
     EXPECT_TRUE(rng == before) << name;
+    if (const mem::MemorySystem* device = (*backend)->cost_system()) {
+      EXPECT_EQ(device->pcm().Stats().writes, 0u) << name;
+    }
   }
-  EXPECT_GE(flat_backends, 3u);  // mlc-pcm, spintronic, dram-precise.
+  // mlc-pcm, mlc-pcm-banked, spintronic, dram-precise.
+  EXPECT_GE(checked, 4u);
 }
 
 // Every registered backend must drive the full approx-refine pipeline to a
@@ -241,6 +247,38 @@ TEST(BackendUniformityTest, FaultHookObservesEveryAccessOnEveryBackend) {
     }
     EXPECT_EQ(hook.writes(), n) << name;
     EXPECT_EQ(hook.reads(), n) << name;
+  }
+}
+
+// A banked write books its flat outcome cost plus the CPU stall its
+// posting caused at the shared device (ChargeWriteAt), on the plain path
+// and on the model path alike.
+TEST(BankedBackendTest, WritesBookTheirCostPlusTheirStall) {
+  ApproxMemory::Options options;
+  options.calibration_trials = 2000;
+  options.backend = std::string(kPcmBackendName);
+  ApproxMemory flat(options);
+  ApproxArrayU32 probe = flat.NewPreciseArray(1);
+  probe.Set(0, 0);
+  const double flat_cost = probe.stats().write_cost;
+
+  options.backend = std::string(kBankedPcmBackendName);
+  for (const bool hooked : {false, true}) {
+    SentinelHook hook;
+    if (hooked) options.fault_hook = &hook;
+    ApproxMemory memory(options);
+    const mem::PcmSimulator& pcm = memory.backend().cost_system()->pcm();
+    // One page, one bank: the 32-entry write queue fills and stalls.
+    ApproxArrayU32 array = memory.NewPreciseArray(256);
+    double expected = 0.0;
+    for (size_t i = 0; i < array.size(); ++i) {
+      const double stall_before = pcm.Stats().write_stall_ns;
+      array.Set(i, static_cast<uint32_t>(i));
+      expected += flat_cost + (pcm.Stats().write_stall_ns - stall_before);
+    }
+    EXPECT_EQ(array.stats().write_cost, expected) << hooked;
+    EXPECT_GT(pcm.Stats().write_stall_ns, 0.0) << hooked;
+    EXPECT_EQ(hook.writes(), hooked ? array.size() : 0u);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <utility>
+
 namespace approxmem::mem {
 namespace {
 
@@ -36,6 +41,60 @@ TEST(PcmSimulatorTest, BankInterleavingByPage) {
   EXPECT_EQ(sim.BankOf(4096), 1u);
   EXPECT_EQ(sim.BankOf(4095), 0u);
   EXPECT_EQ(sim.BankOf(32ull * 4096), 0u);  // Wraps at 32 banks.
+}
+
+TEST(PcmSimulatorTest, NonPowerOfTwoBanksUseModuloAndTheRingWraps) {
+  PcmConfig config;
+  config.ranks = 3;  // 24 banks: BankOf cannot mask.
+  config.write_queue_depth = 4;
+  ASSERT_EQ(config.TotalBanks(), 24u);
+  PcmSimulator sim(config);
+  for (const uint64_t page :
+       {0ull, 1ull, 23ull, 24ull, 25ull, 31ull, 32ull, 47ull, 48ull, 1000ull,
+        123456789ull}) {
+    EXPECT_EQ(sim.BankOf(page * 4096 + 100), page % 24) << page;
+  }
+
+  // Pages 0, 24 and 48 share bank 0 only under the modulo. Drive that
+  // queue well past its depth, with distinct service times, against a
+  // one-bank FIFO reference: the ring must stay in arrival order as it
+  // wraps.
+  std::deque<std::pair<double, double>> queue;  // (arrival, service)
+  double inflight_end = 0.0, cpu = 0.0, stall = 0.0, total = 0.0;
+  uint64_t full_events = 0;
+  for (uint64_t k = 0; k < 40; ++k) {
+    const double service = 100.0 + 37.0 * static_cast<double>(k % 7);
+    sim.Write((k % 3) * 24 * 4096 + 8 * k, service);
+    while (!queue.empty() && inflight_end <= cpu) {
+      const double start = std::max(queue.front().first, inflight_end);
+      if (start > cpu) break;
+      inflight_end = start + queue.front().second;
+      queue.pop_front();
+    }
+    if (queue.size() == config.write_queue_depth) {
+      inflight_end =
+          std::max(queue.front().first, inflight_end) + queue.front().second;
+      queue.pop_front();
+      if (inflight_end > cpu) {
+        stall += inflight_end - cpu;
+        cpu = inflight_end;
+      }
+      ++full_events;
+    }
+    queue.emplace_back(cpu, service);
+    total += service;
+    ASSERT_EQ(sim.cpu_time_ns(), cpu) << "write " << k;
+  }
+  for (; !queue.empty(); queue.pop_front()) {
+    inflight_end =
+        std::max(queue.front().first, inflight_end) + queue.front().second;
+  }
+  sim.Finish();
+  EXPECT_EQ(sim.Stats().write_queue_full_events, full_events);
+  EXPECT_GT(full_events, 2u * config.write_queue_depth);
+  EXPECT_EQ(sim.Stats().write_stall_ns, stall);
+  EXPECT_EQ(sim.Stats().total_write_latency_ns, total);
+  EXPECT_EQ(sim.Stats().completion_time_ns, inflight_end);
 }
 
 TEST(PcmSimulatorTest, SingleReadCostsReadLatency) {

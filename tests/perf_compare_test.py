@@ -20,15 +20,18 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
     BENCH = json.load(f)
 BASE = {m["name"]: 100.0 for m in BENCH["end_to_end"]}
 BASE.update({"approx.set_range_ns_per_word": 20.0,
+             "approx.banked_set_ns_per_word": 50.0,
              "sort.striped_speedup": 1.6})
 
 
 def write_runs(directory, runs, workload="refine_radix_1m", trace=0):
-    """runs: one (metric overrides, correct, failed) tuple per run."""
+    """runs: one (metric overrides, correct, failed) tuple per run; an
+    override of None leaves the metric out."""
     os.makedirs(directory, exist_ok=True)
     for i, (overrides, correct, failed) in enumerate(runs):
         metrics = {name: {"value": value, "unit": "u"}
-                   for name, value in {**BASE, **overrides}.items()}
+                   for name, value in {**BASE, **overrides}.items()
+                   if value is not None}
         with open(os.path.join(directory, f"{workload}_t{trace}_{i}.out"),
                   "w", encoding="utf-8") as f:
             f.write(json.dumps({"provenance": {"workload": workload,
@@ -100,6 +103,19 @@ class PerfCompareTest(unittest.TestCase):
         parent = clean([{"approx.set_ns_per_word": 10.0}] * 5)
         scalar = clean([{"approx.set_ns_per_word": 1e6}] * 5)
         self.assertEqual(self.compare(parent, scalar, trace=1), 0)
+
+
+    def test_traced_runs_gate_the_banked_write_kernel(self):
+        # Band: 0.10 * 50 + 3 * MAD(0) = 5 ns/word.
+        slower = clean([{"approx.banked_set_ns_per_word": 55.5}] * 5)
+        self.assertEqual(self.compare(clean([{}] * 5), slower, trace=1), 1)
+        within = clean([{"approx.banked_set_ns_per_word": 54.5}] * 5)
+        self.assertEqual(self.compare(clean([{}] * 5), within, trace=1), 0)
+        # Untraced runs do not gate it: only end-to-end metrics count there.
+        self.assertEqual(self.compare(clean([{}] * 5), slower, trace=0), 0)
+        # A traced run that does not report it fails.
+        missing = [({"approx.banked_set_ns_per_word": None}, True, 0)] * 5
+        self.assertEqual(self.compare(clean([{}] * 5), missing, trace=1), 1)
 
 
 if __name__ == "__main__":
