@@ -5,23 +5,20 @@
 namespace approxmem::approx {
 
 ApproxArrayU32::ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
-                               mem::TraceBuffer* trace, uint64_t base_address,
+                               uint64_t base_address,
                                double sequential_write_discount,
                                MemoryFaultHook* fault_hook)
     : actual_(n, 0),
       model_(model),
       rng_(rng),
-      trace_(trace),
       fault_hook_(fault_hook),
       base_address_(base_address),
       read_cost_(model != nullptr ? model->ReadCost() : 0.0),
       seq_discount_(sequential_write_discount),
       precise_(model == nullptr || model->IsPrecise()),
       address_sensitive_(model != nullptr && model->AddressSensitive()),
-      plain_reads_(fault_hook == nullptr && trace == nullptr &&
-                   !address_sensitive_),
-      plain_(fault_hook == nullptr && trace == nullptr && precise_ &&
-             model != nullptr),
+      plain_reads_(fault_hook == nullptr && !address_sensitive_),
+      plain_(fault_hook == nullptr && precise_ && model != nullptr),
       last_written_(static_cast<size_t>(-1)) {
   // A null model is only legal for empty placeholder arrays.
   APPROXMEM_CHECK(model != nullptr || n == 0);
@@ -45,7 +42,6 @@ ApproxArrayU32::ApproxArrayU32(ApproxArrayU32&& other) noexcept
       deviating_(std::move(other.deviating_)),
       model_(other.model_),
       rng_(other.rng_),
-      trace_(other.trace_),
       fault_hook_(other.fault_hook_),
       base_address_(other.base_address_),
       read_cost_(other.read_cost_),
@@ -71,7 +67,6 @@ ApproxArrayU32& ApproxArrayU32::operator=(ApproxArrayU32&& other) noexcept {
     deviating_ = std::move(other.deviating_);
     model_ = other.model_;
     rng_ = other.rng_;
-    trace_ = other.trace_;
     fault_hook_ = other.fault_hook_;
     base_address_ = other.base_address_;
     read_cost_ = other.read_cost_;
@@ -212,7 +207,8 @@ void ApproxArrayU32::Store(const std::vector<uint32_t>& values) {
 void ApproxArrayU32::CopyFrom(ApproxArrayU32& src) {
   APPROXMEM_CHECK(src.size() == size());
   if (!src.plain_reads_ || !plain_reads_) {
-    // Hooks and traces observe the per-element read, write interleaving.
+    // Hooks and banked devices observe the per-element read, write
+    // interleaving.
     for (size_t i = 0; i < size(); ++i) Set(i, src.Get(i));
     return;
   }

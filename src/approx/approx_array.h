@@ -18,7 +18,6 @@
 #include "approx/write_model.h"
 #include "common/check.h"
 #include "common/random.h"
-#include "mem/trace.h"
 
 namespace approxmem::approx {
 
@@ -29,15 +28,16 @@ namespace approxmem::approx {
 /// arrays. Move-only.
 class ApproxArrayU32 {
  public:
-  /// `trace` may be null; when set, every access appends a MemEvent with
-  /// addresses starting at `base_address`. `sequential_write_discount`
-  /// scales the cost of a write that lands at (last written index + 1) —
-  /// the sequential-vs-random PCM write asymmetry the paper's Section 5
-  /// discussion calls for (1.0 disables it).
-  /// `fault_hook`, when set, observes and may perturb every access (see
-  /// fault_hook.h); null means fault-free operation.
+  /// Element i lives at byte address `base_address` + 4i. An
+  /// address-sensitive model (the banked backend) charges each access at
+  /// that address. `sequential_write_discount` scales the cost of a write
+  /// that lands at (last written index + 1) — the sequential-vs-random PCM
+  /// write asymmetry the paper's Section 5 discussion calls for (1.0
+  /// disables it). `fault_hook`, when set, observes and may perturb every
+  /// access at its address (see fault_hook.h); null means fault-free
+  /// operation.
   ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
-                 mem::TraceBuffer* trace = nullptr, uint64_t base_address = 0,
+                 uint64_t base_address = 0,
                  double sequential_write_discount = 1.0,
                  MemoryFaultHook* fault_hook = nullptr);
   ~ApproxArrayU32();
@@ -104,8 +104,8 @@ class ApproxArrayU32 {
     /// array. Bit-identical to the loop
     ///   for k: Set(dest[k], key_values[k]); ids->Set(dest[k], id_values[k]);
     /// — stored values, ledgers, RNG states, and the order of fault-hook
-    /// calls, trace events and address-sensitive charges — but each array's
-    /// model runs one WriteBatch over the block.
+    /// calls and address-sensitive charges — but each array's model runs
+    /// one WriteBatch over the block.
     void ScatterPaired(const size_t* dest, const uint32_t* key_values,
                        Shard* ids, const uint32_t* id_values, size_t count);
     const MemoryStats& stats() const { return stats_; }
@@ -121,9 +121,9 @@ class ApproxArrayU32 {
   };
 
   /// True when shards of this array may execute on different threads at the
-  /// same time: no fault hook (shared mutable state), no trace buffer
-  /// (ordered append), and a stateless flat-cost write model. When false,
-  /// callers must drive the same shard plan serially, in shard order.
+  /// same time: no fault hook (shared mutable state, ordered calls) and a
+  /// stateless flat-cost write model. When false, callers must drive the
+  /// same shard plan serially, in shard order.
   bool ConcurrentShardSafe() const { return plain_reads_; }
 
   /// Creates `count` shards, splitting one RNG substream per shard off this
@@ -143,8 +143,9 @@ class ApproxArrayU32 {
 
   /// Copies all of `src`'s current values into this array, one read from
   /// `src` plus one write here per element (the approx-preparation copy).
-  /// Interleaves the reads and writes per element when either array is
-  /// observed (fault hook or trace); otherwise copies block-wise.
+  /// Interleaves the reads and writes per element when either array has a
+  /// fault hook or an address-sensitive model, which observe that order;
+  /// otherwise copies block-wise.
   void CopyFrom(ApproxArrayU32& src);
 
   /// Current stored values, without touching access counters.
@@ -188,7 +189,6 @@ class ApproxArrayU32 {
     stats.read_cost += address_sensitive_
                            ? model_->ReadCostAt(base_address_ + i * 4u)
                            : read_cost_;
-    if (trace_ != nullptr) trace_->AppendRead(base_address_ + i * 4u);
     uint32_t value = actual_[i];
     if (fault_hook_ != nullptr) {
       value = fault_hook_->OnRead(base_address_ + i * 4u, precise_, value);
@@ -234,7 +234,6 @@ class ApproxArrayU32 {
     }
     Accrue(i, cost, outcome.pv_iterations, stats, last_written);
     if (deviated) ++stats.corrupted_writes;
-    if (trace_ != nullptr) trace_->AppendWrite(base_address_ + i * 4u);
   }
 
   // The write ledger of one word, with the sequential-write rule.
@@ -273,7 +272,6 @@ class ApproxArrayU32 {
   std::vector<uint8_t> deviating_;
   WriteModel* model_;
   Rng rng_;
-  mem::TraceBuffer* trace_;
   MemoryFaultHook* fault_hook_;
   uint64_t base_address_;
   double read_cost_;
@@ -284,14 +282,13 @@ class ApproxArrayU32 {
   bool precise_;
   // Cached model_->AddressSensitive(); when set, every read asks the
   // model's ReadCostAt and every written word's cost goes through its
-  // ChargeWriteAt (banked/trace-driven cost sources) instead of being
-  // booked flat.
+  // ChargeWriteAt (the banked cost source) instead of being booked flat.
   bool address_sensitive_;
-  // Set when no access is observed from outside (no fault hook, no trace)
-  // and costs are flat: a read is then a copy plus a fixed cost.
+  // Set when no access is observed from outside (no fault hook) and costs
+  // are flat: a read is then a copy plus a fixed cost.
   bool plain_reads_;
-  // No fault hook and no trace on a precise model: a write is then a store
-  // plus the model's fixed outcome (plain_cost_, plain_pv_), read once at
+  // No fault hook on a precise model: a write is then a store plus the
+  // model's fixed outcome (plain_cost_, plain_pv_), read once at
   // construction, charged through ChargeWrite, and never calls Write()
   // (see write_model.h).
   bool plain_;

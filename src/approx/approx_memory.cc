@@ -49,7 +49,7 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
                                            double model_word_error_rate) {
   const uint64_t span = ((n * 4 + 4095) / 4096 + 1) * 4096;
   const auto make_array = [&](uint64_t base) {
-    return ApproxArrayU32(n, model, rng_.Split(), options_.trace, base,
+    return ApproxArrayU32(n, model, rng_.Split(), base,
                           options_.sequential_write_discount,
                           options_.fault_hook);
   };
@@ -78,11 +78,11 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
     // tail of the region's last page. Probe costs land in the monitor's own
     // ledger, never in the workload's.
     const uint64_t tail_base = base + span - uint64_t{kWords} * 4u;
-    ApproxArrayU32 head(kWords, model, rng_.Split(), /*trace=*/nullptr, base,
+    ApproxArrayU32 head(kWords, model, rng_.Split(), base,
                         options_.sequential_write_discount,
                         options_.fault_hook);
-    ApproxArrayU32 tail(kWords, model, rng_.Split(), /*trace=*/nullptr,
-                        tail_base, options_.sequential_write_discount,
+    ApproxArrayU32 tail(kWords, model, rng_.Split(), tail_base,
+                        options_.sequential_write_discount,
                         options_.fault_hook);
     const uint64_t errors =
         health_.ProbeSite(head) + health_.ProbeSite(tail);

@@ -20,7 +20,6 @@
 #include "approx/memory_backend.h"
 #include "approx/write_model.h"
 #include "common/random.h"
-#include "mem/trace.h"
 #include "mlc/calibration.h"
 #include "mlc/mlc_config.h"
 
@@ -62,9 +61,6 @@ class ApproxMemory {
     SimulationMode mode = SimulationMode::kFast;
     uint64_t calibration_trials = 200000;
     uint64_t seed = 42;
-    /// Optional trace sink; when set, arrays log accesses for replay
-    /// through mem::MemorySystem.
-    mem::TraceBuffer* trace = nullptr;
     /// Optional fault-injection hook observing every array access (see
     /// fault_hook.h). Not owned; must outlive the memory and its arrays.
     MemoryFaultHook* fault_hook = nullptr;

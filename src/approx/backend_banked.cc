@@ -1,6 +1,7 @@
 // The "mlc-pcm-banked" backend: MLC PCM write models with costs routed
-// through the trace-driven mem::MemorySystem (Table 1 cache hierarchy in
-// front of banked PCM with write queues).
+// through mem::MemorySystem (Table 1 cache hierarchy in front of banked PCM
+// with write queues). It is the paper's trace-driven simulation run inline:
+// the device sees every array access, in program order, as it happens.
 //
 // This closes the flat-cost vs bank-simulator split: error injection,
 // #P accounting, and per-write service latency come from the same
@@ -10,11 +11,10 @@
 // it incurs behind a full bank write queue. All arrays of one ApproxMemory
 // share one MemorySystem, so bank contention across arrays is modeled.
 //
-// Costs are charged incrementally per access rather than by replaying a
-// trace afterwards: a write charges its PCM service latency plus the
-// write-stall delta its posting caused; queued service time that drains
-// later is background work the CPU never waits for, matching how the
-// paper's simulator attributes write cost.
+// Costs are charged incrementally per access: a write charges its PCM
+// service latency plus the write-stall delta its posting caused; queued
+// service time that drains later is background work the CPU never waits
+// for, matching how the paper's simulator attributes write cost.
 #include <memory>
 #include <utility>
 #include <vector>

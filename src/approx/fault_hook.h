@@ -20,10 +20,10 @@ namespace approxmem::approx {
 /// Observes and perturbs word accesses of instrumented arrays.
 ///
 /// `address` is the byte address of the word in the flat simulated space
-/// (the same addresses the TraceBuffer records), so faults can be scoped to
-/// address regions. `precise_domain` reports whether the array lives in a
-/// precise allocation — faults injected there break the paper's refine
-/// guarantee and must be caught by the differential oracle.
+/// (the same address the banked backend charges the access at), so faults
+/// can be scoped to address regions. `precise_domain` reports whether the
+/// array lives in a precise allocation — faults injected there break the
+/// paper's refine guarantee and must be caught by the differential oracle.
 class MemoryFaultHook {
  public:
   virtual ~MemoryFaultHook() = default;

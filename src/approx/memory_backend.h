@@ -15,10 +15,10 @@
 // Built-in backends:
 //   mlc-pcm         Monte-Carlo-calibrated MLC PCM (the paper's Table 1/2
 //                   substrate); knob = target-range half-width T; unit ns.
-//   mlc-pcm-banked  Same write models, but costs flow through the trace-
-//                   driven mem::MemorySystem (cache hierarchy + banked PCM
-//                   with write queues), closing the flat-cost vs
-//                   bank-simulator split; knob = T; unit ns.
+//   mlc-pcm-banked  Same write models, but costs flow through
+//                   mem::MemorySystem (cache hierarchy + banked PCM with
+//                   write queues), driven inline by every access; knob = T;
+//                   unit ns.
 //   spintronic      Appendix A bit-flip model; knob = per-bit write-error
 //                   probability (energy saving follows the paper's
 //                   operating-point curve); unit energy.
@@ -133,8 +133,8 @@ class MemoryBackend {
   /// Knob value reported for fully precise attempts (diagnostics only).
   virtual double precise_knob() const = 0;
 
-  /// The trace-driven cost substrate, when this backend routes costs
-  /// through one (null for flat-cost backends).
+  /// The Table 1 cost substrate, when this backend routes costs through
+  /// one (null for flat-cost backends).
   virtual mem::MemorySystem* cost_system() { return nullptr; }
 };
 

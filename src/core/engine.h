@@ -45,8 +45,8 @@
 namespace approxmem::core {
 
 /// Engine-wide configuration; defaults reproduce the paper's Tables 1-2.
-/// The memory fields (backend, mlc, mode, seed, calibration, trace, fault
-/// hook, health monitoring, placement) are approx::ApproxMemory::Options
+/// The memory fields (backend, mlc, mode, seed, calibration, fault hook,
+/// health monitoring, placement) are approx::ApproxMemory::Options
 /// itself, handed to the engine's hybrid memory unchanged; only the
 /// intra-sort parallelism below is the engine's own.
 struct EngineOptions : approx::ApproxMemory::Options {

@@ -47,17 +47,6 @@ void MemorySystem::Write(uint64_t address, double pcm_service_latency_ns) {
   pcm_.Write(address, pcm_service_latency_ns);
 }
 
-MemorySystemStats MemorySystem::Replay(const TraceBuffer& trace) {
-  for (const MemEvent& event : trace.events()) {
-    if (event.kind == AccessKind::kRead) {
-      Read(event.address);
-    } else {
-      Write(event.address);
-    }
-  }
-  return Finish();
-}
-
 MemorySystemStats MemorySystem::Finish() {
   pcm_.Finish();
   const PcmStats& pcm_stats = pcm_.Stats();

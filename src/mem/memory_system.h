@@ -1,8 +1,10 @@
 // Full memory system: write-through cache hierarchy in front of banked PCM.
 //
-// This is the trace-driven substrate corresponding to the paper's in-house
-// simulator (Table 1). Reads that hit a cache level cost that level's
-// latency; misses and all writes (write-through) go to PCM.
+// This is the substrate of the paper's trace-driven in-house simulator
+// (Table 1). The mlc-pcm-banked backend (src/approx/backend_banked.cc) drives
+// it with every array access as it happens, in program order. Reads that hit
+// a cache level cost that level's latency; misses and all writes
+// (write-through) go to PCM.
 #ifndef APPROXMEM_MEM_MEMORY_SYSTEM_H_
 #define APPROXMEM_MEM_MEMORY_SYSTEM_H_
 
@@ -10,11 +12,10 @@
 
 #include "mem/cache.h"
 #include "mem/pcm.h"
-#include "mem/trace.h"
 
 namespace approxmem::mem {
 
-/// Aggregate statistics for a trace replayed through the memory system.
+/// Aggregate statistics of the accesses issued to the memory system.
 struct MemorySystemStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -43,9 +44,6 @@ class MemorySystem {
   /// service latency models approximate-bank writes (latency ~ avg #P).
   void Write(uint64_t address);
   void Write(uint64_t address, double pcm_service_latency_ns);
-
-  /// Replays a whole trace and finalizes stats.
-  MemorySystemStats Replay(const TraceBuffer& trace);
 
   /// Drains PCM queues and returns the final statistics.
   MemorySystemStats Finish();

@@ -141,18 +141,4 @@ void PcmSimulator::Finish() {
   stats_.completion_time_ns = completion;
 }
 
-PcmStats PcmSimulator::Replay(const PcmConfig& config,
-                              const TraceBuffer& trace) {
-  PcmSimulator sim(config);
-  for (const MemEvent& event : trace.events()) {
-    if (event.kind == AccessKind::kRead) {
-      sim.Read(event.address);
-    } else {
-      sim.Write(event.address);
-    }
-  }
-  sim.Finish();
-  return sim.Stats();
-}
-
 }  // namespace approxmem::mem

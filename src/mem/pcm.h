@@ -4,7 +4,7 @@
 // 32-entry write queue and an 8-entry read queue and schedules reads with
 // priority over queued writes (writes are posted and drain in the
 // background; reads must wait only for the operation currently in service).
-// The CPU issues accesses in trace order: reads are blocking, writes stall
+// The CPU issues accesses in program order: reads are blocking, writes stall
 // only when the target bank's write queue is full.
 #ifndef APPROXMEM_MEM_PCM_H_
 #define APPROXMEM_MEM_PCM_H_
@@ -13,9 +13,11 @@
 #include <vector>
 
 #include "common/status.h"
-#include "mem/trace.h"
 
 namespace approxmem::mem {
+
+/// Kind of memory access.
+enum class AccessKind : uint8_t { kRead = 0, kWrite = 1 };
 
 /// Geometry and timing of the PCM main memory.
 struct PcmConfig {
@@ -51,7 +53,7 @@ class PcmFaultListener {
   virtual double OnPcmAccess(uint64_t address, AccessKind kind) = 0;
 };
 
-/// Aggregate results of replaying a trace.
+/// Aggregate results of the accesses issued so far.
 struct PcmStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -87,9 +89,6 @@ class PcmSimulator {
 
   /// Drains all queues; afterwards Stats().completion_time_ns is final.
   void Finish();
-
-  /// Replays a whole trace (reads blocking, writes posted) then finishes.
-  static PcmStats Replay(const PcmConfig& config, const TraceBuffer& trace);
 
   /// Installs a fault listener degrading the latency of faulty accesses.
   /// Not owned; pass nullptr to detach.

@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "core/engine.h"
-#include "mem/memory_system.h"
 #include "testing/golden.h"
 
 namespace approxmem::testing {
@@ -59,13 +58,11 @@ OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
   const std::vector<uint32_t> input =
       MakeInput(oracle_case.shape, oracle_case.n, oracle_case.seed);
 
-  mem::TraceBuffer trace;
   core::EngineOptions engine_options;
   engine_options.calibration_trials = options.calibration_trials;
   engine_options.seed = oracle_case.seed;
   engine_options.shared_calibration = options.shared_calibration;
   engine_options.sort_threads = oracle_case.sort_threads;
-  if (options.check_trace_conservation) engine_options.trace = &trace;
   if (options.injector != nullptr) {
     engine_options.fault_hook = options.injector;
   }
@@ -159,33 +156,6 @@ OracleReport RunDifferentialOracle(const OracleCase& oracle_case,
       }
     }
     DigestVec(report.digest, approx_output);
-  }
-
-  if (options.check_trace_conservation) {
-    mem::MemorySystem system = mem::MemorySystem::PaperDefault();
-    const mem::MemorySystemStats stats = system.Replay(trace);
-    const mem::PcmStats& pcm = system.pcm().Stats();
-    std::ostringstream detail;
-    if (stats.reads != trace.read_count() ||
-        stats.writes != trace.write_count()) {
-      detail << "replayed " << stats.reads << "r/" << stats.writes
-             << "w of " << trace.read_count() << "r/" << trace.write_count()
-             << "w traced";
-      Fail(report, "trace-conservation", detail.str());
-    } else if (stats.l1_read_hits + stats.l2_read_hits + stats.l3_read_hits +
-                   stats.memory_reads !=
-               stats.reads) {
-      detail << "cache hits + PCM reads = "
-             << stats.l1_read_hits + stats.l2_read_hits + stats.l3_read_hits +
-                    stats.memory_reads
-             << " != reads in = " << stats.reads;
-      Fail(report, "trace-conservation", detail.str());
-    } else if (pcm.reads != stats.memory_reads || pcm.writes != stats.writes) {
-      detail << "PCM saw " << pcm.reads << "r/" << pcm.writes
-             << "w, expected " << stats.memory_reads << "r/" << stats.writes
-             << "w";
-      Fail(report, "trace-conservation", detail.str());
-    }
   }
 
   DigestVec(report.digest, final_keys);

@@ -14,11 +14,7 @@
 //   t0-bit-identical         at the precise operating point (and with no
 //                            injector attached) the approx-only sort output
 //                            already equals the golden keys with zero
-//                            corrupted writes;
-//   trace-conservation       replaying the access trace through
-//                            mem::MemorySystem conserves accesses across
-//                            the cache hierarchy and PCM (hits + misses ==
-//                            reads in; PCM writes == writes in).
+//                            corrupted writes.
 //
 // Faults injected into the *approximate* domain must never produce a
 // failure (that is the refine guarantee under test); faults injected into
@@ -63,9 +59,6 @@ struct OracleOptions {
   std::shared_ptr<mlc::CalibrationCache> shared_calibration;
   /// Optional fault injector attached to the engine. Not owned.
   FaultInjector* injector = nullptr;
-  /// Replay the full access trace through mem::MemorySystem and check
-  /// conservation. Costs memory proportional to the access count.
-  bool check_trace_conservation = false;
 };
 
 /// One violated invariant.

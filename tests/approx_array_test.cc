@@ -12,6 +12,7 @@
 #include "approx/fault_hook.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "access_stream.h"
 
 namespace approxmem::approx {
 namespace {
@@ -269,16 +270,18 @@ TEST(ApproxArrayTest, MoveDoesNotDoubleFlush) {
   EXPECT_EQ(sink.word_writes, 2u);
 }
 
+// A fault hook sees every access at its byte address, in program order.
 TEST(ApproxArrayTest, TraceRecordsAddresses) {
-  mem::TraceBuffer trace;
+  RecordingHook recorder;
   ApproxMemory::Options options = DefaultOptions();
-  options.trace = &trace;
+  options.fault_hook = &recorder;
   ApproxMemory memory(options);
   ApproxArrayU32 a = memory.NewPreciseArray(4);
   ApproxArrayU32 b = memory.NewPreciseArray(4);
   a.Set(0, 1);
   b.Set(0, 1);
   a.Get(1);
+  const std::vector<AccessEvent>& trace = recorder.events();
   ASSERT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace[0].kind, mem::AccessKind::kWrite);
   EXPECT_EQ(trace[0].address, a.base_address());

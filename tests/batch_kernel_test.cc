@@ -22,11 +22,11 @@
 #include "approx/write_model.h"
 #include "common/random.h"
 #include "mem/memory_system.h"
-#include "mem/trace.h"
 #include "mlc/calibration.h"
 #include "mlc/mlc_config.h"
 #include "mlc/word_codec.h"
 #include "testing/fault_injection.h"
+#include "access_stream.h"
 
 namespace approxmem {
 namespace {
@@ -259,58 +259,6 @@ void ExpectSameLedger(const approx::MemoryStats& a,
   EXPECT_EQ(a.pv_iterations, b.pv_iterations);
 }
 
-// The state of a backend's shared banked device (all zero when the backend
-// has none), read after draining its queues.
-struct DeviceState {
-  mem::MemorySystemStats system;
-  mem::PcmStats pcm;
-  uint64_t cache_hits[3] = {};
-  uint64_t cache_misses[3] = {};
-};
-
-DeviceState CaptureDevice(approx::ApproxMemory& memory) {
-  DeviceState state;
-  mem::MemorySystem* device = memory.backend().cost_system();
-  if (device == nullptr) return state;
-  state.system = device->Finish();
-  state.pcm = device->pcm().Stats();
-  const mem::Cache* levels[3] = {&device->hierarchy().l1(),
-                                 &device->hierarchy().l2(),
-                                 &device->hierarchy().l3()};
-  for (int l = 0; l < 3; ++l) {
-    state.cache_hits[l] = levels[l]->hits();
-    state.cache_misses[l] = levels[l]->misses();
-  }
-  return state;
-}
-
-void ExpectSameDevice(const DeviceState& a, const DeviceState& b) {
-  EXPECT_EQ(a.system.reads, b.system.reads);
-  EXPECT_EQ(a.system.writes, b.system.writes);
-  EXPECT_EQ(a.system.l1_read_hits, b.system.l1_read_hits);
-  EXPECT_EQ(a.system.l2_read_hits, b.system.l2_read_hits);
-  EXPECT_EQ(a.system.l3_read_hits, b.system.l3_read_hits);
-  EXPECT_EQ(a.system.memory_reads, b.system.memory_reads);
-  EXPECT_EQ(a.system.total_read_latency_ns, b.system.total_read_latency_ns);
-  EXPECT_EQ(a.system.total_write_latency_ns, b.system.total_write_latency_ns);
-  EXPECT_EQ(a.system.write_stall_ns, b.system.write_stall_ns);
-  EXPECT_EQ(a.system.completion_time_ns, b.system.completion_time_ns);
-  EXPECT_EQ(a.pcm.reads, b.pcm.reads);
-  EXPECT_EQ(a.pcm.writes, b.pcm.writes);
-  EXPECT_EQ(a.pcm.faulted_accesses, b.pcm.faulted_accesses);
-  EXPECT_EQ(a.pcm.total_read_latency_ns, b.pcm.total_read_latency_ns);
-  EXPECT_EQ(a.pcm.total_write_latency_ns, b.pcm.total_write_latency_ns);
-  EXPECT_EQ(a.pcm.read_queue_wait_ns, b.pcm.read_queue_wait_ns);
-  EXPECT_EQ(a.pcm.write_stall_ns, b.pcm.write_stall_ns);
-  EXPECT_EQ(a.pcm.write_queue_full_events, b.pcm.write_queue_full_events);
-  EXPECT_EQ(a.pcm.row_buffer_hits, b.pcm.row_buffer_hits);
-  EXPECT_EQ(a.pcm.completion_time_ns, b.pcm.completion_time_ns);
-  for (int l = 0; l < 3; ++l) {
-    EXPECT_EQ(a.cache_hits[l], b.cache_hits[l]) << "L" << l + 1;
-    EXPECT_EQ(a.cache_misses[l], b.cache_misses[l]) << "L" << l + 1;
-  }
-}
-
 // Scattered elements per run; the probe runs are stored after them.
 constexpr size_t kScatterElems = 4096;
 
@@ -319,7 +267,7 @@ struct ScatterRun {
   std::vector<uint32_t> key_actual, id_actual;
   std::vector<bool> key_deviating, id_deviating;
   std::vector<approx::MemoryStats> stats;
-  std::vector<mem::MemEvent> trace;
+  std::vector<AccessEvent> accesses;
   uint64_t injected_write_faults = 0;
   DeviceState device;
 };
@@ -330,21 +278,19 @@ struct ScatterRun {
 // otherwise the per-element interleaved Set loop it replaces. Each shard
 // then writes a probe run past the scattered region, so the stored probe
 // words show where the shard's stream stood after the scatter. An
-// `observed` run adds a trace buffer and a fault injector (also listening
-// at the banked device); otherwise the precise ids take the plain path.
+// `observed` run adds a recording hook around a fault injector (which also
+// listens at the banked device); otherwise the precise ids take the plain
+// path.
 ScatterRun RunStripedScatter(std::string_view backend, bool batched,
                              bool observed) {
   testing::FaultInjector injector(testing::FaultPlan::ApproxStorm(9));
-  mem::TraceBuffer trace;
+  RecordingHook recorder(&injector);
   approx::ApproxMemory::Options options;
   options.backend = std::string(backend);
   options.calibration_trials = 5000;
   options.seed = 5;
   options.sequential_write_discount = 0.5;
-  if (observed) {
-    options.trace = &trace;
-    options.fault_hook = &injector;
-  }
+  if (observed) options.fault_hook = &recorder;
   approx::ApproxMemory memory(options);
   if (observed && memory.backend().cost_system() != nullptr) {
     memory.backend().cost_system()->pcm().SetFaultListener(&injector);
@@ -419,9 +365,9 @@ ScatterRun RunStripedScatter(std::string_view backend, bool batched,
     run.id_actual.push_back(ids.PeekActual(i));
     run.id_deviating.push_back(ids.IsDeviating(i));
   }
-  run.trace = trace.events();
+  run.accesses = recorder.events();
   run.injected_write_faults = injector.injected_write_faults();
-  run.device = CaptureDevice(memory);
+  run.device = CaptureDevice(memory.backend().cost_system());
   return run;
 }
 
@@ -445,10 +391,10 @@ TEST(ScatterPairedTest, MatchesInterleavedSetLoop) {
         ExpectSameLedger(batched.stats[k], loop.stats[k]);
       }
       ExpectSameDevice(batched.device, loop.device);
-      ASSERT_EQ(batched.trace.size(), loop.trace.size());
-      for (size_t e = 0; e < loop.trace.size(); ++e) {
-        ASSERT_EQ(batched.trace[e].address, loop.trace[e].address) << e;
-        ASSERT_EQ(batched.trace[e].kind, loop.trace[e].kind) << e;
+      ASSERT_EQ(batched.accesses.size(), loop.accesses.size());
+      for (size_t e = 0; e < loop.accesses.size(); ++e) {
+        ASSERT_EQ(batched.accesses[e].address, loop.accesses[e].address) << e;
+        ASSERT_EQ(batched.accesses[e].kind, loop.accesses[e].kind) << e;
       }
       EXPECT_EQ(batched.injected_write_faults, loop.injected_write_faults);
       // Not vacuous: the model corrupted words, the windows produced
@@ -521,7 +467,7 @@ RangeRun RunBankedRanges(bool precise, bool hooked, bool ranged) {
   run.stats = array.stats();
   run.other_stats = other.stats();
   run.injected_write_faults = injector.injected_write_faults();
-  run.device = CaptureDevice(memory);
+  run.device = CaptureDevice(memory.backend().cost_system());
   return run;
 }
 

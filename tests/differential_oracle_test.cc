@@ -43,13 +43,6 @@ TEST(differential_oracle, CleanRunsPassForEveryKindAndT) {
   }
 }
 
-TEST(differential_oracle, TraceConservationHoldsOnCleanRun) {
-  OracleOptions options;
-  options.check_trace_conservation = true;
-  const OracleReport report = RunDifferentialOracle(BaseCase(), options);
-  EXPECT_TRUE(report.ok) << report.FailureSummary();
-}
-
 TEST(differential_oracle, SameCaseTwiceGivesIdenticalDigest) {
   OracleCase oracle_case = BaseCase();
   oracle_case.paper_t = 100;

@@ -8,7 +8,6 @@
 
 #include "approx/spintronic.h"
 #include "core/workload.h"
-#include "mem/trace.h"
 #include "testing/fault_injection.h"
 
 namespace approxmem::core {
@@ -122,7 +121,6 @@ class BumpPlacement final : public approx::PlacementPolicy {
 TEST(EngineTest, MemoryOptionsReachTheSubstrate) {
   // Every ApproxMemory::Options field set away from its default on the
   // engine options must arrive unchanged at the engine's hybrid memory.
-  mem::TraceBuffer trace;
   testing::FaultInjector injector(testing::FaultPlan{});
   BumpPlacement placement;
   EngineOptions options;
@@ -134,7 +132,6 @@ TEST(EngineTest, MemoryOptionsReachTheSubstrate) {
   options.shared_calibration =
       std::make_shared<mlc::CalibrationCache>(options.mlc, 1234, 7);
   options.sequential_write_discount = 0.5;
-  options.trace = &trace;
   options.fault_hook = &injector;
   options.health.enabled = true;
   options.placement = &placement;
@@ -150,7 +147,6 @@ TEST(EngineTest, MemoryOptionsReachTheSubstrate) {
   EXPECT_EQ(memory.shared_calibration, options.shared_calibration);
   EXPECT_EQ(&engine.memory().calibration(), options.shared_calibration.get());
   EXPECT_DOUBLE_EQ(memory.sequential_write_discount, 0.5);
-  EXPECT_EQ(memory.trace, &trace);
   EXPECT_EQ(memory.fault_hook, &injector);
   EXPECT_TRUE(memory.health.enabled);
   EXPECT_TRUE(engine.memory().health().enabled());

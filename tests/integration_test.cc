@@ -1,8 +1,9 @@
 // End-to-end scenarios crossing every module: engine sweeps that reproduce
-// the paper's qualitative claims at reduced scale, trace-driven replay of a
-// real sort through the cache+PCM substrate, and exact-vs-fast agreement of
-// the whole pipeline.
+// the paper's qualitative claims at reduced scale, a real sort on the
+// banked cache+PCM substrate, and exact-vs-fast agreement of the whole
+// pipeline.
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -83,12 +84,11 @@ TEST(IntegrationTest, CostModelTracksMeasurementNearSweetSpot) {
 }
 
 TEST(IntegrationTest, TraceReplayThroughMemorySystem) {
-  // Run a real quicksort against traced arrays, then replay the trace
-  // through the cache hierarchy + banked PCM substrate.
-  mem::TraceBuffer trace;
+  // Run a real quicksort on the banked backend, whose cache hierarchy +
+  // banked PCM substrate sees every array access as it happens.
   approx::ApproxMemory::Options options;
   options.calibration_trials = 20000;
-  options.trace = &trace;
+  options.backend = std::string(approx::kBankedPcmBackendName);
   approx::ApproxMemory memory(options);
 
   const size_t n = 20000;
@@ -101,14 +101,14 @@ TEST(IntegrationTest, TraceReplayThroughMemorySystem) {
   ASSERT_TRUE(
       sort::RunSort(spec, {sort::SortKind::kQuicksort, 0}, rng).ok());
 
-  ASSERT_GT(trace.size(), 2 * n);
-  mem::MemorySystem system = mem::MemorySystem::PaperDefault();
-  const mem::MemorySystemStats stats = system.Replay(trace);
-  EXPECT_EQ(stats.reads + stats.writes, trace.size());
-  EXPECT_EQ(stats.writes, trace.write_count());
+  const mem::MemorySystemStats stats =
+      memory.backend().cost_system()->Finish();
+  ASSERT_GT(stats.reads + stats.writes, 2 * n);
+  EXPECT_EQ(stats.reads, array.stats().word_reads);
+  EXPECT_EQ(stats.writes, array.stats().word_writes);
   // Write-through: every write is serviced by PCM at 1us.
   EXPECT_DOUBLE_EQ(stats.total_write_latency_ns,
-                   static_cast<double>(trace.write_count()) * 1000.0);
+                   static_cast<double>(stats.writes) * 1000.0);
   // The sort has locality: most reads hit cache.
   EXPECT_GT(stats.l1_read_hits + stats.l2_read_hits + stats.l3_read_hits,
             stats.memory_reads);

@@ -17,6 +17,8 @@
 #include "core/resilience.h"
 #include "core/workload.h"
 #include "mem/memory_system.h"
+#include "sort/sort_common.h"
+#include "access_stream.h"
 
 namespace approxmem::approx {
 namespace {
@@ -279,6 +281,106 @@ TEST(BankedBackendTest, WritesBookTheirCostPlusTheirStall) {
     EXPECT_EQ(array.stats().write_cost, expected) << hooked;
     EXPECT_GT(pcm.Stats().write_stall_ns, 0.0) << hooked;
     EXPECT_EQ(hook.writes(), hooked ? array.size() : 0u);
+  }
+}
+
+// Sorts `keys` with ids in the precise domain of `memory`.
+void PreciseSortWithIds(ApproxMemory& memory,
+                        const std::vector<uint32_t>& keys,
+                        const sort::AlgorithmId& algorithm) {
+  ApproxArrayU32 key_array = memory.NewPreciseArray(keys.size());
+  key_array.Store(keys);
+  ApproxArrayU32 ids = memory.NewPreciseArray(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ids.Set(i, static_cast<uint32_t>(i));
+  }
+  sort::SortSpec spec;
+  spec.keys = &key_array;
+  spec.ids = &ids;
+  spec.alloc_key_buffer = [&memory](size_t n) {
+    return memory.NewPreciseArray(n);
+  };
+  spec.alloc_id_buffer = spec.alloc_key_buffer;
+  Rng rng(9);
+  ASSERT_TRUE(sort::RunSort(spec, algorithm, rng).ok());
+  const std::vector<uint32_t> sorted = key_array.Snapshot();
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+}
+
+// The banked backend is the paper's trace-driven simulation run inline: its
+// device ends in the state of a fresh Table 1 memory system fed, through
+// Read and Write, the access stream the same sort makes on the flat
+// backend.
+TEST(BankedBackendTest, MatchesReplayOfTheAccessStream) {
+  const std::vector<uint32_t> keys =
+      core::MakeKeys(core::WorkloadKind::kUniform, 20000, 21);
+  for (const sort::AlgorithmId& algorithm :
+       {sort::AlgorithmId{sort::SortKind::kQuicksort, 0},
+        sort::AlgorithmId{sort::SortKind::kMergesort, 0},
+        sort::AlgorithmId{sort::SortKind::kLsdRadix, 3}}) {
+    SCOPED_TRACE(algorithm.Name());
+    RecordingHook recorder;
+    ApproxMemory::Options options;
+    options.calibration_trials = 2000;
+    options.seed = 21;
+    options.fault_hook = &recorder;
+    ApproxMemory flat(options);
+    PreciseSortWithIds(flat, keys, algorithm);
+    ASSERT_GT(recorder.events().size(), 4 * keys.size());
+    mem::MemorySystem replay = mem::MemorySystem::PaperDefault();
+    for (const AccessEvent& event : recorder.events()) {
+      if (event.kind == mem::AccessKind::kRead) {
+        replay.Read(event.address);
+      } else {
+        replay.Write(event.address);
+      }
+    }
+
+    options.fault_hook = nullptr;  // The banked arrays take the plain path.
+    options.backend = std::string(kBankedPcmBackendName);
+    ApproxMemory banked(options);
+    PreciseSortWithIds(banked, keys, algorithm);
+    ExpectSameDevice(CaptureDevice(banked.backend().cost_system()),
+                     CaptureDevice(&replay));
+  }
+}
+
+// Every array access reaches the shared banked device exactly once, so the
+// device's counts equal the arrays' ledgers plus the loads the ledgers
+// leave out on purpose; inside the device, the cache levels and PCM
+// conserve them.
+TEST(BankedBackendTest, DeviceConservesEveryArrayAccess) {
+  const size_t n = 20000;
+  const std::vector<uint32_t> keys =
+      core::MakeKeys(core::WorkloadKind::kUniform, n, 22);
+  for (const sort::AlgorithmId& algorithm :
+       {sort::AlgorithmId{sort::SortKind::kQuicksort, 0},
+        sort::AlgorithmId{sort::SortKind::kLsdRadix, 3},
+        sort::AlgorithmId{sort::SortKind::kMsdHistogram, 3}}) {
+    SCOPED_TRACE(algorithm.Name());
+    core::EngineOptions options;
+    options.backend = std::string(kBankedPcmBackendName);
+    options.calibration_trials = 5000;
+    options.seed = 22;
+    core::ApproxSortEngine engine(options);
+    const auto outcome = engine.SortApproxRefine(keys, algorithm, 0.055);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_TRUE(outcome->refine.verified());
+    MemoryStats arrays = outcome->refine.TotalStats();
+    arrays += outcome->baseline.keys;
+    arrays += outcome->baseline.ids;
+
+    mem::MemorySystem& device = *engine.memory().backend().cost_system();
+    const mem::MemorySystemStats stats = device.Finish();
+    EXPECT_EQ(stats.reads, arrays.word_reads);
+    // Loading the given input into Key0 and ID, and into the baseline's key
+    // and id arrays, reaches the device but not the ledgers: 4n writes.
+    EXPECT_EQ(stats.writes, arrays.word_writes + 4 * n);
+    EXPECT_EQ(stats.l1_read_hits + stats.l2_read_hits + stats.l3_read_hits +
+                  stats.memory_reads,
+              stats.reads);
+    EXPECT_EQ(device.pcm().Stats().reads, stats.memory_reads);
+    EXPECT_EQ(device.pcm().Stats().writes, stats.writes);
   }
 }
 

@@ -33,14 +33,13 @@ TEST(MemorySystemTest, ApproximateWriteLatencyPassesThrough) {
   EXPECT_DOUBLE_EQ(stats.total_write_latency_ns, 660.0);
 }
 
-TEST(MemorySystemTest, ReplayCountsHitsAndMisses) {
+TEST(MemorySystemTest, CountsHitsAndMisses) {
   MemorySystem system = MemorySystem::PaperDefault();
-  TraceBuffer trace;
-  trace.AppendRead(0);
-  trace.AppendRead(0);
-  trace.AppendRead(64);
-  trace.AppendWrite(0);
-  const MemorySystemStats stats = system.Replay(trace);
+  system.Read(0);
+  system.Read(0);
+  system.Read(64);
+  system.Write(0);
+  const MemorySystemStats stats = system.Finish();
   EXPECT_EQ(stats.reads, 3u);
   EXPECT_EQ(stats.writes, 1u);
   EXPECT_EQ(stats.memory_reads, 2u);
@@ -51,13 +50,12 @@ TEST(MemorySystemTest, ReplayCountsHitsAndMisses) {
 TEST(MemorySystemTest, SequentialScanMostlyHitsAfterFirstTouch) {
   MemorySystem system = MemorySystem::PaperDefault();
   // Two passes over a 64KB buffer (fits L2/L3, not L1).
-  TraceBuffer trace;
   for (int pass = 0; pass < 2; ++pass) {
     for (uint64_t addr = 0; addr < 64 * 1024; addr += 4) {
-      trace.AppendRead(addr);
+      system.Read(addr);
     }
   }
-  const MemorySystemStats stats = system.Replay(trace);
+  const MemorySystemStats stats = system.Finish();
   // 64KB / 64B = 1024 cold line misses; everything else hits some level.
   EXPECT_EQ(stats.memory_reads, 1024u);
   EXPECT_GT(stats.l1_read_hits, 15000u);  // 15/16 accesses hit the line.

@@ -163,11 +163,12 @@ TEST(PcmSimulatorTest, CustomWriteServiceLatency) {
   EXPECT_DOUBLE_EQ(sim.Stats().total_write_latency_ns, 500.0);
 }
 
-TEST(PcmSimulatorTest, ReplayAggregates) {
-  TraceBuffer trace;
-  for (uint64_t i = 0; i < 64; ++i) trace.AppendWrite(i * 4096);
-  for (uint64_t i = 0; i < 64; ++i) trace.AppendRead(i * 4096);
-  const PcmStats stats = PcmSimulator::Replay(PcmConfig{}, trace);
+TEST(PcmSimulatorTest, StatsAggregate) {
+  PcmSimulator sim(PcmConfig{});
+  for (uint64_t i = 0; i < 64; ++i) sim.Write(i * 4096);
+  for (uint64_t i = 0; i < 64; ++i) sim.Read(i * 4096);
+  sim.Finish();
+  const PcmStats& stats = sim.Stats();
   EXPECT_EQ(stats.writes, 64u);
   EXPECT_EQ(stats.reads, 64u);
   EXPECT_DOUBLE_EQ(stats.total_write_latency_ns, 64 * 1000.0);
@@ -177,16 +178,16 @@ TEST(PcmSimulatorTest, ReplayAggregates) {
 TEST(PcmSimulatorTest, ParallelBanksFinishFasterThanSerial) {
   // 32 writes across 32 banks complete in ~1 write time; 32 writes to one
   // bank take 32x as long.
-  TraceBuffer spread;
-  TraceBuffer pinned;
+  PcmSimulator spread(PcmConfig{});
+  PcmSimulator pinned(PcmConfig{});
   for (uint64_t i = 0; i < 32; ++i) {
-    spread.AppendWrite(i * 4096);
-    pinned.AppendWrite(0);
+    spread.Write(i * 4096);
+    pinned.Write(0);
   }
-  const PcmStats spread_stats = PcmSimulator::Replay(PcmConfig{}, spread);
-  const PcmStats pinned_stats = PcmSimulator::Replay(PcmConfig{}, pinned);
-  EXPECT_LT(spread_stats.completion_time_ns,
-            pinned_stats.completion_time_ns / 8.0);
+  spread.Finish();
+  pinned.Finish();
+  EXPECT_LT(spread.Stats().completion_time_ns,
+            pinned.Stats().completion_time_ns / 8.0);
 }
 
 TEST(PcmRowBufferTest, DisabledByDefault) {

@@ -13,9 +13,9 @@
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/workload.h"
-#include "mem/trace.h"
 #include "sort/sort_common.h"
 #include "testing/fault_injection.h"
+#include "access_stream.h"
 
 namespace approxmem {
 namespace {
@@ -133,21 +133,18 @@ uint64_t DigestStats(uint64_t hash, const approx::MemoryStats& stats) {
 }
 
 // One approx-refine run with IDs, digested over everything a fault hook
-// and a trace can observe: outputs, every ledger, the injector's
-// decisions, and the ordered trace. `hooked` attaches an approx-domain
-// fault storm and a trace sink (both empty otherwise).
+// can observe: outputs, every ledger, the injector's decisions, and the
+// ordered access stream. `hooked` attaches an approx-domain fault storm
+// inside a recording hook (both empty otherwise).
 uint64_t PinnedRunDigest(const sort::AlgorithmId& algorithm, int sort_threads,
                          bool hooked) {
   testing::FaultInjector injector(testing::FaultPlan::ApproxStorm(0x5eed));
-  mem::TraceBuffer trace;
+  RecordingHook recorder(&injector);
   core::EngineOptions options;
   options.seed = 77;
   options.calibration_trials = 5000;
   options.sort_threads = sort_threads;
-  if (hooked) {
-    options.fault_hook = &injector;
-    options.trace = &trace;
-  }
+  if (hooked) options.fault_hook = &recorder;
   core::ApproxSortEngine engine(options);
   const auto input = core::MakeKeys(core::WorkloadKind::kUniform, kN, 7);
   std::vector<uint32_t> keys;
@@ -175,7 +172,7 @@ uint64_t PinnedRunDigest(const sort::AlgorithmId& algorithm, int sort_threads,
         injector.injected_write_faults(), injector.injected_read_faults()}) {
     hash = Fnv1a64Word(hash, counter);
   }
-  for (const mem::MemEvent& event : trace.events()) {
+  for (const AccessEvent& event : recorder.events()) {
     hash = Fnv1a64Word(hash, event.address);
     hash = Fnv1a64Word(hash, static_cast<uint64_t>(event.kind));
   }
@@ -183,11 +180,10 @@ uint64_t PinnedRunDigest(const sort::AlgorithmId& algorithm, int sort_threads,
 }
 
 // The digests were captured from the per-element key, id, key, id Set
-// scatter. Hooked and traced arrays are not shard-safe, so their striped
-// passes run serially and the block scatter must hand the hook and the
-// trace every write in that loop's order; unhooked runs go concurrent at
-// four threads. Any reordering of draws, hook calls or trace events moves
-// a digest.
+// scatter. Hooked arrays are not shard-safe, so their striped passes run
+// serially and the block scatter must hand the hook every write in that
+// loop's order; unhooked runs go concurrent at four threads. Any
+// reordering of draws or hook calls moves a digest.
 TEST(StripedSortPinTest, DigestsMatchThePerElementScatter) {
   const sort::AlgorithmId lsd3{sort::SortKind::kLsdRadix, 3};
   const sort::AlgorithmId hlsd3{sort::SortKind::kLsdHistogram, 3};
