@@ -7,17 +7,18 @@ namespace approxmem::approx {
 ApproxArrayU32::ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
                                uint64_t base_address,
                                double sequential_write_discount,
-                               MemoryFaultHook* fault_hook)
+                               MemoryFaultHook* fault_hook,
+                               mem::MemorySystem* device)
     : actual_(n, 0),
       model_(model),
       rng_(rng),
       fault_hook_(fault_hook),
+      device_(device),
       base_address_(base_address),
       read_cost_(model != nullptr ? model->ReadCost() : 0.0),
       seq_discount_(sequential_write_discount),
       precise_(model == nullptr || model->IsPrecise()),
-      address_sensitive_(model != nullptr && model->AddressSensitive()),
-      plain_reads_(fault_hook == nullptr && !address_sensitive_),
+      plain_reads_(fault_hook == nullptr && device == nullptr),
       plain_(fault_hook == nullptr && precise_ && model != nullptr),
       last_written_(static_cast<size_t>(-1)) {
   // A null model is only legal for empty placeholder arrays.
@@ -43,11 +44,11 @@ ApproxArrayU32::ApproxArrayU32(ApproxArrayU32&& other) noexcept
       model_(other.model_),
       rng_(other.rng_),
       fault_hook_(other.fault_hook_),
+      device_(other.device_),
       base_address_(other.base_address_),
       read_cost_(other.read_cost_),
       seq_discount_(other.seq_discount_),
       precise_(other.precise_),
-      address_sensitive_(other.address_sensitive_),
       plain_reads_(other.plain_reads_),
       plain_(other.plain_),
       plain_cost_(other.plain_cost_),
@@ -68,11 +69,11 @@ ApproxArrayU32& ApproxArrayU32::operator=(ApproxArrayU32&& other) noexcept {
     model_ = other.model_;
     rng_ = other.rng_;
     fault_hook_ = other.fault_hook_;
+    device_ = other.device_;
     base_address_ = other.base_address_;
     read_cost_ = other.read_cost_;
     seq_discount_ = other.seq_discount_;
     precise_ = other.precise_;
-    address_sensitive_ = other.address_sensitive_;
     plain_reads_ = other.plain_reads_;
     plain_ = other.plain_;
     plain_cost_ = other.plain_cost_;
@@ -129,7 +130,7 @@ void ApproxArrayU32::Shard::ScatterPaired(const size_t* dest,
   }
   // Each array draws from its own stream, so batching per array leaves
   // every draw where the interleaved loop puts it; the outcomes are then
-  // applied (and address-charged) in element order, key before id, so a
+  // applied (and device-charged) in element order, key before id, so a
   // banked device shared by both arrays sees the interleaved loop's order.
   // Plain arrays skip the model.
   WordWriteOutcome key_outcomes[kScatterBlock];

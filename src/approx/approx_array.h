@@ -18,6 +18,7 @@
 #include "approx/write_model.h"
 #include "common/check.h"
 #include "common/random.h"
+#include "mem/memory_system.h"
 
 namespace approxmem::approx {
 
@@ -28,9 +29,12 @@ namespace approxmem::approx {
 /// arrays. Move-only.
 class ApproxArrayU32 {
  public:
-  /// Element i lives at byte address `base_address` + 4i. An
-  /// address-sensitive model (the banked backend) charges each access at
-  /// that address. `sequential_write_discount` scales the cost of a write
+  /// Element i lives at byte address `base_address` + 4i. `device`, when
+  /// set (the banked backend's Table 1 memory system, shared by every
+  /// array of one ApproxMemory), sees each access at that address and
+  /// charges it: a read books the device's latency instead of the model's
+  /// flat read cost, and a write books its outcome cost plus the stall its
+  /// posting caused. `sequential_write_discount` scales the cost of a write
   /// that lands at (last written index + 1) — the sequential-vs-random PCM
   /// write asymmetry the paper's Section 5 discussion calls for (1.0
   /// disables it). `fault_hook`, when set, observes and may perturb every
@@ -39,7 +43,8 @@ class ApproxArrayU32 {
   ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
                  uint64_t base_address = 0,
                  double sequential_write_discount = 1.0,
-                 MemoryFaultHook* fault_hook = nullptr);
+                 MemoryFaultHook* fault_hook = nullptr,
+                 mem::MemorySystem* device = nullptr);
   ~ApproxArrayU32();
 
   ApproxArrayU32(ApproxArrayU32&& other) noexcept;
@@ -104,7 +109,7 @@ class ApproxArrayU32 {
     /// array. Bit-identical to the loop
     ///   for k: Set(dest[k], key_values[k]); ids->Set(dest[k], id_values[k]);
     /// — stored values, ledgers, RNG states, and the order of fault-hook
-    /// calls and address-sensitive charges — but each array's model runs
+    /// calls and device charges — but each array's model runs
     /// one WriteBatch over the block.
     void ScatterPaired(const size_t* dest, const uint32_t* key_values,
                        Shard* ids, const uint32_t* id_values, size_t count);
@@ -121,8 +126,8 @@ class ApproxArrayU32 {
   };
 
   /// True when shards of this array may execute on different threads at the
-  /// same time: no fault hook (shared mutable state, ordered calls) and a
-  /// stateless flat-cost write model. When false, callers must drive the
+  /// same time: no fault hook and no device (shared mutable state that
+  /// observes the order of calls). When false, callers must drive the
   /// same shard plan serially, in shard order.
   bool ConcurrentShardSafe() const { return plain_reads_; }
 
@@ -144,7 +149,7 @@ class ApproxArrayU32 {
   /// Copies all of `src`'s current values into this array, one read from
   /// `src` plus one write here per element (the approx-preparation copy).
   /// Interleaves the reads and writes per element when either array has a
-  /// fault hook or an address-sensitive model, which observe that order;
+  /// fault hook or a device, which observe that order;
   /// otherwise copies block-wise.
   void CopyFrom(ApproxArrayU32& src);
 
@@ -186,8 +191,8 @@ class ApproxArrayU32 {
   uint32_t GetImpl(size_t i, MemoryStats& stats) {
     APPROXMEM_CHECK(i < actual_.size());
     ++stats.word_reads;
-    stats.read_cost += address_sensitive_
-                           ? model_->ReadCostAt(base_address_ + i * 4u)
+    stats.read_cost += device_ != nullptr
+                           ? device_->Read(base_address_ + i * 4u)
                            : read_cost_;
     uint32_t value = actual_[i];
     if (fault_hook_ != nullptr) {
@@ -206,11 +211,11 @@ class ApproxArrayU32 {
     ApplyWrite(i, value, model_->Write(value, rng), stats, last_written);
   }
 
-  // The cost to book for a write of `cost` to element `i`: an
-  // address-sensitive model charges it at the element's address.
+  // The cost to book for a write of `cost` to element `i`: a device
+  // charges it at the element's address.
   double ChargeWrite(size_t i, double cost) {
-    return address_sensitive_
-               ? model_->ChargeWriteAt(base_address_ + i * 4u, cost)
+    return device_ != nullptr
+               ? device_->ChargedWrite(base_address_ + i * 4u, cost)
                : cost;
   }
 
@@ -273,6 +278,7 @@ class ApproxArrayU32 {
   WriteModel* model_;
   Rng rng_;
   MemoryFaultHook* fault_hook_;
+  mem::MemorySystem* device_;
   uint64_t base_address_;
   double read_cost_;
   double seq_discount_;
@@ -280,12 +286,8 @@ class ApproxArrayU32 {
   // Get/Set report the precision domain to the fault hook without a
   // virtual call per access.
   bool precise_;
-  // Cached model_->AddressSensitive(); when set, every read asks the
-  // model's ReadCostAt and every written word's cost goes through its
-  // ChargeWriteAt (the banked cost source) instead of being booked flat.
-  bool address_sensitive_;
-  // Set when no access is observed from outside (no fault hook) and costs
-  // are flat: a read is then a copy plus a fixed cost.
+  // Set when no access is observed from outside (no fault hook, no
+  // device): a read is then a copy plus a fixed cost.
   bool plain_reads_;
   // No fault hook on a precise model: a write is then a store plus the
   // model's fixed outcome (plain_cost_, plain_pv_), read once at

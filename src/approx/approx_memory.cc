@@ -48,10 +48,11 @@ void ApproxMemory::BeginJobStream(uint64_t stream_key) {
 ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
                                            double model_word_error_rate) {
   const uint64_t span = ((n * 4 + 4095) / 4096 + 1) * 4096;
-  const auto make_array = [&](uint64_t base) {
-    return ApproxArrayU32(n, model, rng_.Split(), base,
+  // Canaries and data alike reach the backend's device, if it has one.
+  const auto make_array = [&](size_t words, uint64_t base) {
+    return ApproxArrayU32(words, model, rng_.Split(), base,
                           options_.sequential_write_discount,
-                          options_.fault_hook);
+                          options_.fault_hook, backend_->cost_system());
   };
   const auto place = [&]() {
     if (options_.placement != nullptr) {
@@ -62,7 +63,7 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
     return base;
   };
   if (!health_.enabled()) {
-    return make_array(place());
+    return make_array(n, place());
   }
   // Canary-probe candidate regions. A quarantined candidate is reported to
   // the placement policy (OnQuarantine), which owns every cursor and routes
@@ -78,18 +79,14 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
     // tail of the region's last page. Probe costs land in the monitor's own
     // ledger, never in the workload's.
     const uint64_t tail_base = base + span - uint64_t{kWords} * 4u;
-    ApproxArrayU32 head(kWords, model, rng_.Split(), base,
-                        options_.sequential_write_discount,
-                        options_.fault_hook);
-    ApproxArrayU32 tail(kWords, model, rng_.Split(), tail_base,
-                        options_.sequential_write_discount,
-                        options_.fault_hook);
+    ApproxArrayU32 head = make_array(kWords, base);
+    ApproxArrayU32 tail = make_array(kWords, tail_base);
     const uint64_t errors =
         health_.ProbeSite(head) + health_.ProbeSite(tail);
     const double observed = static_cast<double>(errors) / (2.0 * kWords);
     if (health_.WithinThreshold(observed, model_word_error_rate) ||
         attempt >= HealthMonitor::kMaxAllocRetries) {
-      return make_array(base);
+      return make_array(n, base);
     }
     health_.RecordQuarantine(base, span);
     health_.RecordRetry();

@@ -15,9 +15,10 @@
 // Built-in backends:
 //   mlc-pcm         Monte-Carlo-calibrated MLC PCM (the paper's Table 1/2
 //                   substrate); knob = target-range half-width T; unit ns.
-//   mlc-pcm-banked  Same write models, but costs flow through
+//   mlc-pcm-banked  The mlc-pcm write models themselves, plus a
 //                   mem::MemorySystem (cache hierarchy + banked PCM with
-//                   write queues), driven inline by every access; knob = T;
+//                   write queues) that ApproxMemory hands to every array;
+//                   the arrays charge each access there, inline; knob = T;
 //                   unit ns.
 //   spintronic      Appendix A bit-flip model; knob = per-bit write-error
 //                   probability (energy saving follows the paper's
@@ -134,7 +135,8 @@ class MemoryBackend {
   virtual double precise_knob() const = 0;
 
   /// The Table 1 cost substrate, when this backend routes costs through
-  /// one (null for flat-cost backends).
+  /// one (null for flat-cost backends). ApproxMemory passes it to every
+  /// array it builds, and the array charges each access there.
   virtual mem::MemorySystem* cost_system() { return nullptr; }
 };
 

@@ -56,27 +56,10 @@ class WriteModel {
   /// Write() stores exactly what it is given, at a cost and #P that do not
   /// depend on the value, and draws nothing from the Rng: arrays read that
   /// fixed outcome once, with one probe Write, and then store and charge
-  /// precise words without calling Write(). Addresses never enter Write();
-  /// they reach a model only through ChargeWriteAt() and ReadCostAt().
+  /// precise words without calling Write(). Models never see addresses:
+  /// address-dependent costs (the banked backend's Table 1 device) are
+  /// charged by the array, which calls the device directly.
   virtual bool IsPrecise() const = 0;
-
-  /// True when costs depend on the byte address — e.g. a model routed
-  /// through the banked-PCM simulator, where a write may stall behind a
-  /// full bank queue and a read may hit a cache level. Arrays consult this
-  /// once at construction: address-sensitive models get one ChargeWriteAt()
-  /// per written word and one ReadCostAt() per read word; flat models keep
-  /// the cached-cost fast path.
-  virtual bool AddressSensitive() const { return false; }
-
-  /// Charges one word write of outcome cost `cost` at `address` and returns
-  /// the cost to book; only called when AddressSensitive(), once per word,
-  /// in write order. The default books `cost` as is.
-  virtual double ChargeWriteAt(uint64_t /*address*/, double cost) {
-    return cost;
-  }
-
-  /// Address-aware read cost; only called when AddressSensitive().
-  virtual double ReadCostAt(uint64_t /*address*/) { return ReadCost(); }
 };
 
 }  // namespace approxmem::approx

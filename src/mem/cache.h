@@ -24,18 +24,50 @@ struct CacheConfig {
 
 /// One set-associative, write-through, no-write-allocate LRU cache level.
 ///
+/// Each set is a row of `ways` entries kept in recency order: entry 0 holds
+/// the most recently used line and the tail the least, and empty ways (0)
+/// always trail the resident lines. A hit moves its line to the front; a
+/// read miss shifts the row right by one and writes the line at entry 0,
+/// which drops the tail: the LRU line, or an empty way while the set is
+/// not yet full.
+///
 /// A repeat access to the line of the previous access answers from a
-/// one-entry memo without searching its set: that line already holds the
-/// newest recency stamp (or is known absent), so skipping the re-stamp
-/// leaves the LRU order, and thus every later hit and eviction, unchanged.
+/// one-entry memo without searching its set: that line already sits at
+/// entry 0 of its row (or is known absent), so skipping the move leaves the
+/// LRU order, and thus every later hit and eviction, unchanged.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
 
   /// Looks up `address`; on a read miss the line is installed. Returns true
   /// on hit. Writes update recency when present but never allocate.
-  bool AccessRead(uint64_t address);
-  bool AccessWrite(uint64_t address);
+  bool AccessRead(uint64_t address) {
+    const uint64_t line = address >> line_shift_;
+    if (line == memo_line_ && memo_present_) {
+      ++hits_;
+      return true;
+    }
+    const bool hit = Access(line, /*allocate=*/true);
+    memo_line_ = line;
+    memo_present_ = true;
+    return hit;
+  }
+  bool AccessWrite(uint64_t address) {
+    const uint64_t line = address >> line_shift_;
+    if (line == memo_line_) {
+      // Write-through, no-write-allocate: an absent line stays absent.
+      if (memo_present_) {
+        ++hits_;
+      } else {
+        ++misses_;
+      }
+      return memo_present_;
+    }
+    const bool hit = Access(line, /*allocate=*/false);
+    memo_line_ = line;
+    memo_present_ = hit;
+    return hit;
+  }
 
   const CacheConfig& config() const { return config_; }
   uint64_t hits() const { return hits_; }
@@ -47,20 +79,12 @@ class Cache {
   void Flush();
 
  private:
-  // `tag_plus_one` is the line's tag + 1, so that 0 (the all-zero Line{})
-  // marks an invalid line and a Line packs into 16 bytes. (A tag is below
-  // 2^63 whenever lines are 2 bytes or more.)
-  struct Line {
-    uint64_t tag_plus_one = 0;
-    uint64_t last_used = 0;
-  };
-
-  /// Line storage mapped straight from the OS, not the heap: its zero
-  /// pages (all-zero bytes are Line{}) become resident only as sets are
-  /// first touched, and go back on destruction. A Table 1 L3 holds 8 MiB
-  /// of lines; from the heap it would be zero-filled up front and, once
-  /// the allocator's mmap threshold had risen past that size, carved from
-  /// whichever thread's arena asked, so resident memory varied by run.
+  /// Row storage mapped straight from the OS, not the heap: its zero pages
+  /// (all empty ways) become resident only as sets are first touched, and
+  /// go back on destruction. A Table 1 L3 holds 4 MiB of entries; from the
+  /// heap it would be zero-filled up front and, once the allocator's mmap
+  /// threshold had risen past that size, carved from whichever thread's
+  /// arena asked, so resident memory varied by run.
   class LineTable {
    public:
     explicit LineTable(size_t count);
@@ -68,29 +92,50 @@ class Cache {
     LineTable& operator=(LineTable&& other) noexcept;
     ~LineTable();
 
-    Line& operator[](size_t i) { return lines_[i]; }
-    const Line& operator[](size_t i) const { return lines_[i]; }
+    uint64_t* data() { return entries_; }
     size_t size() const { return count_; }
 
    private:
-    Line* lines_ = nullptr;
+    uint64_t* entries_ = nullptr;
     size_t count_ = 0;
   };
 
-  // Returns the way index of `tag` in `set`, or -1.
-  int FindWay(uint32_t set, uint64_t tag) const;
-  void Touch(uint32_t set, int way);
-  void Install(uint32_t set, uint64_t tag);
-  // Searches for `line`, re-stamping it on a hit; on a miss installs it if
-  // `allocate`. Returns true on hit.
-  bool Access(uint64_t line, bool allocate);
+  // Searches the row of `line`, moving it to the front on a hit; on a miss
+  // installs it at the front if `allocate`. Returns true on hit.
+  bool Access(uint64_t line, bool allocate) {
+    const uint32_t ways = config_.ways;
+    uint64_t* row =
+        rows_.data() + static_cast<size_t>(line & (num_sets_ - 1)) * ways;
+    const uint64_t entry = (line >> set_shift_) + 1;
+    // The way the shift ends at: the hit, the first empty way, or the tail.
+    uint32_t way = 0;
+    bool hit = false;
+    for (; way < ways; ++way) {
+      if (row[way] == entry) {
+        hit = true;
+        break;
+      }
+      if (row[way] == 0) break;
+    }
+    if (hit) {
+      ++hits_;
+    } else {
+      ++misses_;
+      if (!allocate) return false;
+      if (way == ways) --way;
+    }
+    for (; way > 0; --way) row[way] = row[way - 1];
+    row[0] = entry;
+    return hit;
+  }
 
   CacheConfig config_;
   uint32_t num_sets_;
   uint32_t line_shift_;  // log2(line_bytes)
   uint32_t set_shift_;   // log2(num_sets_)
-  LineTable lines_;  // num_sets_ * ways, row-major by set.
-  uint64_t clock_ = 0;
+  // num_sets_ rows of `ways` entries, each a line's tag + 1 (0 marks an
+  // empty way; a tag is below 2^63 because lines are 2 bytes or more).
+  LineTable rows_;
   // The line of the previous access and whether it was resident after it.
   uint64_t memo_line_ = ~uint64_t{0};
   bool memo_present_ = false;
@@ -114,10 +159,19 @@ class CacheHierarchy {
                  const CacheConfig& l3);
 
   /// Probes the hierarchy for a read and returns the level that hit.
-  HitLevel Read(uint64_t address);
+  HitLevel Read(uint64_t address) {
+    if (l1_.AccessRead(address)) return HitLevel::kL1;
+    if (l2_.AccessRead(address)) return HitLevel::kL2;
+    if (l3_.AccessRead(address)) return HitLevel::kL3;
+    return HitLevel::kMemory;
+  }
 
   /// Propagates a write through all levels (write-through).
-  void Write(uint64_t address);
+  void Write(uint64_t address) {
+    l1_.AccessWrite(address);
+    l2_.AccessWrite(address);
+    l3_.AccessWrite(address);
+  }
 
   /// Hit latency of `level` in ns (memory returns 0; the PCM model owns it).
   double LatencyNs(HitLevel level) const;

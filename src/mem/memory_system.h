@@ -45,6 +45,11 @@ class MemorySystem {
   void Write(uint64_t address);
   void Write(uint64_t address, double pcm_service_latency_ns);
 
+  /// Issues one write of service latency `cost` and returns the cost to
+  /// book for it: `cost` plus the CPU stall its posting caused. This is
+  /// how a banked array charges each written word.
+  double ChargedWrite(uint64_t address, double cost);
+
   /// Drains PCM queues and returns the final statistics.
   MemorySystemStats Finish();
 
@@ -57,6 +62,10 @@ class MemorySystem {
   CacheHierarchy hierarchy_;
   PcmSimulator pcm_;
   MemorySystemStats stats_;
+  // The hierarchy's L1/L2/L3 hit latencies, read once.
+  double l1_ns_;
+  double l2_ns_;
+  double l3_ns_;
 };
 
 }  // namespace approxmem::mem

@@ -36,6 +36,16 @@ TEST(CacheConfigTest, ValidatesGeometry) {
   bad = SmallCache();
   bad.capacity_bytes = 768;  // 3 sets: not a power of two.
   EXPECT_FALSE(bad.Validate().ok());
+  // 1-byte lines: with one set, address 2^64 - 1 would encode as the
+  // empty-way marker (tag + 1 == 0).
+  bad = SmallCache();
+  bad.line_bytes = 1;
+  bad.capacity_bytes = bad.ways;
+  EXPECT_FALSE(bad.Validate().ok());
+  CacheConfig two_byte_lines = bad;
+  two_byte_lines.line_bytes = 2;
+  two_byte_lines.capacity_bytes = 2 * two_byte_lines.ways;
+  EXPECT_TRUE(two_byte_lines.Validate().ok());
 }
 
 TEST(CacheTest, ColdMissThenHit) {
@@ -150,6 +160,9 @@ struct Access {
   uint64_t address;
   bool write;
   bool flush_before = false;
+  // Moves the cache into a new object and back before this access: the
+  // line table and the memo must travel with it.
+  bool move_before = false;
 };
 
 // Replays `stream` into a Cache and the reference, access by access.
@@ -162,6 +175,10 @@ void ExpectMatchesReference(const CacheConfig& config,
     if (access.flush_before) {
       cache.Flush();
       reference.Flush();
+    }
+    if (access.move_before) {
+      Cache moved(std::move(cache));
+      cache = std::move(moved);
     }
     const bool hit = access.write ? cache.AccessWrite(access.address)
                                   : cache.AccessRead(access.address);
@@ -221,6 +238,38 @@ TEST(CacheEquivalenceTest, MatchesBruteForceLruOnEveryStreamShape) {
     before.write = false;
     flushed[flushed.size() / 2] = {before.address, false, true};
     streams.emplace_back("flush mid-stream", flushed);
+    // Page-aligned arrays 4 KiB apart share a set at every index, as the
+    // sorts' key[i] and id[i] do: two and three streams alternate within
+    // one set, mostly stepping by a word, sometimes jumping.
+    for (const int arrays : {2, 3}) {
+      std::vector<Access> same_set;
+      uint64_t index = 0;
+      for (int k = 0; k < 20000; ++k) {
+        index = rng.UniformInt(16) == 0 ? rng.UniformInt(span / 4) : index + 1;
+        for (int a = 0; a < arrays; ++a) {
+          const uint64_t base = static_cast<uint64_t>(a) * (span + 4096);
+          // The last of three arrays is the write target of a merge.
+          same_set.push_back({base + 4 * index, a == 2});
+        }
+      }
+      streams.emplace_back(std::to_string(arrays) + " same-set arrays",
+                           same_set);
+    }
+    // Reads and writes over a few more lines than one set holds: write
+    // misses must not allocate, and write hits must refresh recency at
+    // every position of the row.
+    std::vector<Access> mixed;
+    for (int k = 0; k < 20000; ++k) {
+      const uint64_t way = rng.UniformInt(config.ways + 2);
+      mixed.push_back({way * set_stride + 4 * rng.UniformInt(4),
+                       rng.UniformInt(2) == 0});
+    }
+    streams.emplace_back("same-set read/write mix", mixed);
+    // A flush and a move partway through the same-set mix.
+    std::vector<Access> moved = mixed;
+    moved[moved.size() / 3].flush_before = true;
+    moved[2 * moved.size() / 3].move_before = true;
+    streams.emplace_back("flush and move mid-stream", moved);
     for (const auto& [name, stream] : streams) {
       SCOPED_TRACE(name + " on " + std::to_string(config.capacity_bytes));
       ExpectMatchesReference(config, stream);

@@ -90,8 +90,9 @@ TEST(BackendContractTest, KnobConstantsAreCoherent) {
 // write_model.h's precise-model contract, which ApproxArrayU32's plain
 // path relies on: every precise model, banked ones included, stores what it
 // is given, at a cost and #P that do not depend on the value, draws nothing
-// from the Rng, and leaves a banked device untouched (addresses enter only
-// through ChargeWriteAt and ReadCostAt).
+// from the Rng, and leaves a banked device untouched (models never see an
+// address). The device is charged by the arrays ApproxMemory hands it to:
+// one device write per array write.
 TEST(BackendContractTest, PreciseFlatModelsStoreAtFixedCostWithoutDrawing) {
   BackendContext context;
   context.calibration_trials = 2000;
@@ -124,6 +125,15 @@ TEST(BackendContractTest, PreciseFlatModelsStoreAtFixedCostWithoutDrawing) {
     EXPECT_TRUE(rng == before) << name;
     if (const mem::MemorySystem* device = (*backend)->cost_system()) {
       EXPECT_EQ(device->pcm().Stats().writes, 0u) << name;
+    }
+    ApproxMemory::Options options;
+    options.backend = name;
+    options.calibration_trials = 2000;
+    ApproxMemory memory(options);
+    ApproxArrayU32 array = memory.NewPreciseArray(probes.size());
+    array.SetRange(0, probes.data(), probes.size());
+    if (const mem::MemorySystem* device = memory.backend().cost_system()) {
+      EXPECT_EQ(device->pcm().Stats().writes, probes.size()) << name;
     }
   }
   // mlc-pcm, mlc-pcm-banked, spintronic, dram-precise.
@@ -253,8 +263,8 @@ TEST(BackendUniformityTest, FaultHookObservesEveryAccessOnEveryBackend) {
 }
 
 // A banked write books its flat outcome cost plus the CPU stall its
-// posting caused at the shared device (ChargeWriteAt), on the plain path
-// and on the model path alike.
+// posting caused at the shared device (MemorySystem::ChargedWrite), on the
+// plain path and on the model path alike.
 TEST(BankedBackendTest, WritesBookTheirCostPlusTheirStall) {
   ApproxMemory::Options options;
   options.calibration_trials = 2000;
@@ -280,6 +290,7 @@ TEST(BankedBackendTest, WritesBookTheirCostPlusTheirStall) {
     }
     EXPECT_EQ(array.stats().write_cost, expected) << hooked;
     EXPECT_GT(pcm.Stats().write_stall_ns, 0.0) << hooked;
+    EXPECT_EQ(pcm.Stats().writes, array.size()) << hooked;
     EXPECT_EQ(hook.writes(), hooked ? array.size() : 0u);
   }
 }
@@ -382,6 +393,38 @@ TEST(BankedBackendTest, DeviceConservesEveryArrayAccess) {
     EXPECT_EQ(device.pcm().Stats().reads, stats.memory_reads);
     EXPECT_EQ(device.pcm().Stats().writes, stats.writes);
   }
+}
+
+// The health monitor's canary arrays are built by ApproxMemory like any
+// other, so their probes reach the shared device too: with monitoring on,
+// the device counts the arrays' ledgers plus the monitor's canary ledger
+// plus the 4n unledgered input loads, exactly.
+TEST(BankedBackendTest, HealthProbesReachTheDevice) {
+  const size_t n = 20000;
+  const std::vector<uint32_t> keys =
+      core::MakeKeys(core::WorkloadKind::kUniform, n, 23);
+  core::EngineOptions options;
+  options.backend = std::string(kBankedPcmBackendName);
+  options.calibration_trials = 5000;
+  options.seed = 23;
+  options.health.enabled = true;
+  core::ApproxSortEngine engine(options);
+  const auto outcome = engine.SortApproxRefine(
+      keys, sort::AlgorithmId{sort::SortKind::kLsdRadix, 3}, 0.055);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(outcome->refine.verified());
+  MemoryStats arrays = outcome->refine.TotalStats();
+  arrays += outcome->baseline.keys;
+  arrays += outcome->baseline.ids;
+  const MemoryStats& canaries =
+      engine.memory().health().stats().canary_costs;
+  ASSERT_GT(canaries.word_writes, 0u);
+  ASSERT_GT(canaries.word_reads, 0u);
+
+  const mem::MemorySystemStats stats =
+      engine.memory().backend().cost_system()->Finish();
+  EXPECT_EQ(stats.reads, arrays.word_reads + canaries.word_reads);
+  EXPECT_EQ(stats.writes, arrays.word_writes + canaries.word_writes + 4 * n);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
 BASE = {m["name"]: 100.0 for m in BENCH["end_to_end"]}
 BASE.update({"approx.set_range_ns_per_word": 20.0,
              "approx.banked_set_ns_per_word": 50.0,
+             "approx.host_ns_per_access": 10.0,
              "sort.striped_speedup": 1.6})
 
 
@@ -115,6 +116,15 @@ class PerfCompareTest(unittest.TestCase):
         self.assertEqual(self.compare(clean([{}] * 5), slower, trace=0), 0)
         # A traced run that does not report it fails.
         missing = [({"approx.banked_set_ns_per_word": None}, True, 0)] * 5
+        self.assertEqual(self.compare(clean([{}] * 5), missing, trace=1), 1)
+
+    def test_traced_runs_gate_the_host_time_per_access(self):
+        # Band: 0.10 * 10 + 3 * MAD(0) = 1 ns/access.
+        slower = clean([{"approx.host_ns_per_access": 11.1}] * 5)
+        self.assertEqual(self.compare(clean([{}] * 5), slower, trace=1), 1)
+        within = clean([{"approx.host_ns_per_access": 10.9}] * 5)
+        self.assertEqual(self.compare(clean([{}] * 5), within, trace=1), 0)
+        missing = [({"approx.host_ns_per_access": None}, True, 0)] * 5
         self.assertEqual(self.compare(clean([{}] * 5), missing, trace=1), 1)
 
 
