@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/stats.h"
+
 namespace approxmem::approx {
 
 ApproxArrayU32::ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
@@ -93,12 +95,26 @@ void ApproxArrayU32::SetRangeImpl(size_t start, const uint32_t* values,
   APPROXMEM_CHECK(start + count <= actual_.size());
   if (plain_) {
     std::copy(values, values + count, actual_.begin() + start);
-    // One add per word, in word order, on a local ledger the compiler can
-    // keep in registers: count * cost would round differently.
+    if (count == 0) return;
+    // On a local ledger the compiler can keep in registers. A device
+    // charges each word at its address; otherwise the first word keeps
+    // the cross-call sequential rule and the rest are sequential words of
+    // one fixed cost, summed exactly by AddRepeated.
     MemoryStats ledger = stats;
     size_t last = last_written;
-    for (size_t i = start; i < start + count; ++i) {
-      Accrue(i, ChargeWrite(i, plain_cost_), plain_pv_, ledger, last);
+    if (device_ != nullptr) {
+      for (size_t i = start; i < start + count; ++i) {
+        Accrue(i, ChargeWrite(i, plain_cost_), plain_pv_, ledger, last);
+      }
+    } else {
+      Accrue(start, plain_cost_, plain_pv_, ledger, last);
+      const size_t rest = count - 1;
+      ledger.word_writes += rest;
+      ledger.sequential_writes += rest;
+      ledger.write_cost =
+          AddRepeated(ledger.write_cost, plain_cost_ * seq_discount_, rest);
+      ledger.pv_iterations = AddRepeated(ledger.pv_iterations, plain_pv_, rest);
+      last = start + count - 1;
     }
     stats = ledger;
     last_written = last;
@@ -129,10 +145,8 @@ void ApproxArrayU32::Shard::ScatterPaired(const size_t* dest,
                     (id_array == nullptr || dest[k] < id_array->size()));
   }
   // Each array draws from its own stream, so batching per array leaves
-  // every draw where the interleaved loop puts it; the outcomes are then
-  // applied (and device-charged) in element order, key before id, so a
-  // banked device shared by both arrays sees the interleaved loop's order.
-  // Plain arrays skip the model.
+  // every draw where the interleaved loop puts it. Plain arrays skip the
+  // model.
   WordWriteOutcome key_outcomes[kScatterBlock];
   WordWriteOutcome id_outcomes[kScatterBlock];
   if (!keys.plain_) {
@@ -141,20 +155,81 @@ void ApproxArrayU32::Shard::ScatterPaired(const size_t* dest,
   if (ids != nullptr && !id_array->plain_) {
     id_array->model_->WriteBatch(id_values, count, ids->rng_, id_outcomes);
   }
-  for (size_t k = 0; k < count; ++k) {
-    if (keys.plain_) {
-      keys.PlainWrite(dest[k], key_values[k], stats_, last_written_);
-    } else {
-      keys.ApplyWrite(dest[k], key_values[k], key_outcomes[k], stats_,
+  if (keys.plain_reads_ && (ids == nullptr || id_array->plain_reads_)) {
+    // Nothing observes the order across the two arrays.
+    keys.ApplyScatter(dest, key_values, key_outcomes, count, stats_,
                       last_written_);
+    if (ids != nullptr) {
+      id_array->ApplyScatter(dest, id_values, id_outcomes, count,
+                             ids->stats_, ids->last_written_);
     }
-    if (ids == nullptr) continue;
-    if (id_array->plain_) {
-      id_array->PlainWrite(dest[k], id_values[k], ids->stats_,
-                           ids->last_written_);
-    } else {
-      id_array->ApplyWrite(dest[k], id_values[k], id_outcomes[k],
-                           ids->stats_, ids->last_written_);
+    return;
+  }
+  // A hook or a banked device shared by both arrays must see the
+  // interleaved loop's order: element by element, key before id.
+  MemoryStats key_ledger = stats_;
+  size_t key_last = last_written_;
+  MemoryStats id_ledger = ids != nullptr ? ids->stats_ : MemoryStats{};
+  size_t id_last = ids != nullptr ? ids->last_written_ : 0;
+  for (size_t k = 0; k < count; ++k) {
+    keys.ScatterWrite(dest[k], key_values[k], key_outcomes[k], key_ledger,
+                      key_last);
+    if (ids != nullptr) {
+      id_array->ScatterWrite(dest[k], id_values[k], id_outcomes[k],
+                             id_ledger, id_last);
+    }
+  }
+  stats_ = key_ledger;
+  last_written_ = key_last;
+  if (ids != nullptr) {
+    ids->stats_ = id_ledger;
+    ids->last_written_ = id_last;
+  }
+}
+
+void ApproxArrayU32::ApplyScatter(const size_t* dest, const uint32_t* values,
+                                  const WordWriteOutcome* outcomes,
+                                  size_t count, MemoryStats& stats,
+                                  size_t& last_written) {
+  MemoryStats ledger = stats;
+  size_t last = last_written;
+  if (!plain_ || seq_discount_ != 1.0) {
+    for (size_t k = 0; k < count; ++k) {
+      ScatterWrite(dest[k], values[k], outcomes[k], ledger, last);
+    }
+  } else {
+    // Undiscounted plain words all cost the same, sequential or not.
+    uint64_t sequential = 0;
+    for (size_t k = 0; k < count; ++k) {
+      actual_[dest[k]] = values[k];
+      sequential += last != static_cast<size_t>(-1) && dest[k] == last + 1;
+      last = dest[k];
+    }
+    ledger.word_writes += count;
+    ledger.sequential_writes += sequential;
+    ledger.write_cost = AddRepeated(ledger.write_cost, plain_cost_, count);
+    ledger.pv_iterations = AddRepeated(ledger.pv_iterations, plain_pv_, count);
+  }
+  stats = ledger;
+  last_written = last;
+}
+
+void ApproxArrayU32::Shard::GatherPaired(size_t start, uint32_t* key_out,
+                                         Shard* ids, uint32_t* id_out,
+                                         size_t count) {
+  APPROXMEM_CHECK(ids != this);
+  ApproxArrayU32& keys = *array_;
+  if (keys.plain_reads_ && (ids == nullptr || ids->array_->plain_reads_)) {
+    keys.GetRangeImpl(start, key_out, count, stats_);
+    if (ids != nullptr) {
+      ids->array_->GetRangeImpl(start, id_out, count, ids->stats_);
+    }
+    return;
+  }
+  for (size_t k = 0; k < count; ++k) {
+    key_out[k] = keys.GetImpl(start + k, stats_);
+    if (ids != nullptr) {
+      id_out[k] = ids->array_->GetImpl(start + k, ids->stats_);
     }
   }
 }
@@ -167,10 +242,8 @@ void ApproxArrayU32::GetRangeImpl(size_t start, uint32_t* out, size_t count,
   }
   APPROXMEM_CHECK(start + count <= actual_.size());
   std::copy(actual_.begin() + start, actual_.begin() + start + count, out);
-  // Per-word adds in word order, as the Get loop makes them.
-  double read_cost = stats.read_cost;
-  for (size_t k = 0; k < count; ++k) read_cost += read_cost_;
-  stats.read_cost = read_cost;
+  // Exactly the Get loop's per-word adds, in word order.
+  stats.read_cost = AddRepeated(stats.read_cost, read_cost_, count);
   stats.word_reads += count;
 }
 

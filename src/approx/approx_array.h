@@ -110,9 +110,20 @@ class ApproxArrayU32 {
     ///   for k: Set(dest[k], key_values[k]); ids->Set(dest[k], id_values[k]);
     /// — stored values, ledgers, RNG states, and the order of fault-hook
     /// calls and device charges — but each array's model runs
-    /// one WriteBatch over the block.
+    /// one WriteBatch over the block, and when neither array has a hook
+    /// or a device each applies its side in a loop of its own.
     void ScatterPaired(const size_t* dest, const uint32_t* key_values,
                        Shard* ids, const uint32_t* id_values, size_t count);
+    /// Paired block read, the twin of ScatterPaired: reads elements
+    /// [start, start + count) of this shard's array into key_out and, when
+    /// `ids` is set, of the ids shard's array into id_out. Bit-identical to
+    /// the loop
+    ///   for k: key_out[k] = Get(start + k);
+    ///          id_out[k] = ids->Get(start + k);
+    /// — values, ledgers, and the order of fault-hook calls and device
+    /// charges — but unobserved arrays are read as two GetRange blocks.
+    void GatherPaired(size_t start, uint32_t* key_out, Shard* ids,
+                      uint32_t* id_out, size_t count);
     const MemoryStats& stats() const { return stats_; }
 
    private:
@@ -263,8 +274,24 @@ class ApproxArrayU32 {
     Accrue(i, ChargeWrite(i, plain_cost_), plain_pv_, stats, last_written);
   }
 
+  // One element of a paired scatter; `outcome` is unused on plain arrays.
+  void ScatterWrite(size_t i, uint32_t value, const WordWriteOutcome& outcome,
+                    MemoryStats& stats, size_t& last_written) {
+    if (plain_) {
+      PlainWrite(i, value, stats, last_written);
+    } else {
+      ApplyWrite(i, value, outcome, stats, last_written);
+    }
+  }
+
   void GetRangeImpl(size_t start, uint32_t* out, size_t count,
                     MemoryStats& stats);
+
+  // One array's side of an unobserved ScatterPaired: writes values[k] to
+  // element dest[k], with outcomes[k] for a non-plain array, in order.
+  void ApplyScatter(const size_t* dest, const uint32_t* values,
+                    const WordWriteOutcome* outcomes, size_t count,
+                    MemoryStats& stats, size_t& last_written);
 
   void SetRangeImpl(size_t start, const uint32_t* values, size_t count,
                     Rng& rng, MemoryStats& stats, size_t& last_written);

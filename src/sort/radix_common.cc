@@ -36,10 +36,6 @@ RadixPlan RadixPlan::ForBits(int bits) {
   return plan;
 }
 
-uint32_t RadixPlan::DigitLsd(uint32_t key, int pass) const {
-  return (key >> (bits * pass)) & mask;
-}
-
 BucketQueues::BucketQueues(uint32_t num_buckets,
                            approx::ApproxArrayU32* key_arena,
                            approx::ApproxArrayU32* id_arena, size_t arena_base)

@@ -26,7 +26,9 @@ struct RadixPlan {
 
   static RadixPlan ForBits(int bits);
   /// Digit of `key` for `pass` counted from the least significant digit.
-  uint32_t DigitLsd(uint32_t key, int pass) const;
+  uint32_t DigitLsd(uint32_t key, int pass) const {
+    return (key >> (bits * pass)) & mask;
+  }
   /// Right-shift amount of the most significant digit.
   int TopShift() const { return bits * (passes - 1); }
 };

@@ -144,11 +144,16 @@ Status LsdHistogramSort(SortSpec& spec, int bits) {
       // Counted in a row of the stripe's own: neighbouring stripes' rows
       // of `hist` share cache lines.
       std::vector<size_t> h(buckets);
-      for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end; ++i) {
-        const uint32_t key = src_key_shards[s].Get(i);
-        stash_keys[i] = key;
-        if (with_ids) stash_ids[i] = src_id_shards[s].Get(i);
-        ++h[(key >> shift) & plan.mask];
+      constexpr size_t kBlock = 64;
+      for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end;) {
+        const size_t m = std::min(kBlock, end - i);
+        src_key_shards[s].GatherPaired(i, &stash_keys[i],
+                                       with_ids ? &src_id_shards[s] : nullptr,
+                                       with_ids ? &stash_ids[i] : nullptr, m);
+        for (size_t k = i; k < i + m; ++k) {
+          ++h[(stash_keys[k] >> shift) & plan.mask];
+        }
+        i += m;
       }
       std::copy(h.begin(), h.end(), hist.begin() + s * buckets);
     });

@@ -60,18 +60,23 @@ Status LsdRadixSort(SortSpec& spec, int bits) {
                                     : std::vector<ApproxArrayU32::Shard>{};
 
     // Phase A: each stripe reads its slice once (one simulated read per
-    // array), stashes the observed values, and counts digits. The digit is
-    // computed from the (possibly corrupted) stored key, as in the queue
-    // formulation.
+    // array, key then id per element) in blocks straight into the stash,
+    // and counts digits. The digit is computed from the (possibly
+    // corrupted) stored key, as in the queue formulation.
     RunStripes(pool, concurrent, num_stripes, [&](size_t s) {
       // Counted in a row of the stripe's own: neighbouring stripes' rows
       // of `hist` share cache lines.
       std::vector<size_t> h(buckets);
-      for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end; ++i) {
-        const uint32_t key = keys_shards[s].Get(i);
-        stash_keys[i] = key;
-        if (with_ids) stash_ids[i] = ids_shards[s].Get(i);
-        ++h[plan.DigitLsd(key, pass)];
+      constexpr size_t kBlock = 64;
+      for (size_t i = stripes.Begin(s), end = stripes.End(s); i < end;) {
+        const size_t m = std::min(kBlock, end - i);
+        keys_shards[s].GatherPaired(i, &stash_keys[i],
+                                    with_ids ? &ids_shards[s] : nullptr,
+                                    with_ids ? &stash_ids[i] : nullptr, m);
+        for (size_t k = i; k < i + m; ++k) {
+          ++h[plan.DigitLsd(stash_keys[k], pass)];
+        }
+        i += m;
       }
       std::copy(h.begin(), h.end(), hist.begin() + s * buckets);
     });

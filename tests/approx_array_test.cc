@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "approx/approx_memory.h"
 #include "approx/fault_hook.h"
+#include "approx/memory_backend.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "access_stream.h"
@@ -469,6 +473,8 @@ TEST(ApproxArrayTest, ConcurrentPlainShardsMatchSerial) {
     auto key_plan = keys.MakeShards(shards);
     auto id_plan = ids.MakeShards(shards);
     std::vector<uint32_t> reads(kN);
+    std::vector<uint32_t> gathered_keys(kN);
+    std::vector<uint32_t> gathered_ids(kN);
     const auto drive = [&](size_t s) {
       const size_t begin = bounds[s];
       const size_t end = bounds[s + 1];
@@ -484,6 +490,12 @@ TEST(ApproxArrayTest, ConcurrentPlainShardsMatchSerial) {
         for (size_t k = 0; k < m; ++k) dest[k] = i + m - 1 - k;
         key_plan[s].ScatterPaired(dest, &reads[i], &id_plan[s], &words[i], m);
       }
+      // Read the scattered pairs back in paired blocks.
+      for (size_t i = begin; i < end; i += 64) {
+        const size_t m = std::min<size_t>(64, end - i);
+        key_plan[s].GatherPaired(i, &gathered_keys[i], &id_plan[s],
+                                 &gathered_ids[i], m);
+      }
     };
     if (pool != nullptr) {
       pool->ParallelFor(0, shards, drive);
@@ -492,6 +504,8 @@ TEST(ApproxArrayTest, ConcurrentPlainShardsMatchSerial) {
     }
     keys.MergeShards(key_plan);
     ids.MergeShards(id_plan);
+    EXPECT_EQ(gathered_keys, keys.Snapshot());
+    EXPECT_EQ(gathered_ids, ids.Snapshot());
     return std::make_tuple(keys.Snapshot(), ids.Snapshot(), reads,
                            keys.stats(), ids.stats());
   };
@@ -505,6 +519,284 @@ TEST(ApproxArrayTest, ConcurrentPlainShardsMatchSerial) {
   EXPECT_EQ(std::get<2>(serial), words);
   ExpectSameLedger(std::get<3>(concurrent), std::get<3>(serial));
   ExpectSameLedger(std::get<4>(concurrent), std::get<4>(serial));
+}
+
+// Everything a paired block read can touch, captured after the fact.
+struct GatherRun {
+  std::vector<uint32_t> keys, ids, keys_alone;
+  std::vector<MemoryStats> ledgers;
+  std::vector<AccessEvent> accesses;
+  DeviceState device;
+};
+
+// Reads approximate keys paired with precise ids through two shards, in
+// blocks of 1..64 elements, then the keys alone. `paired` drives
+// GatherPaired; otherwise the interleaved Get loop it replaces.
+GatherRun RunGather(std::string_view backend, bool hooked, bool paired) {
+  RecordingHook recorder;
+  ApproxMemory::Options options = DefaultOptions();
+  options.backend = std::string(backend);
+  options.calibration_trials = 5000;
+  if (hooked) options.fault_hook = &recorder;
+  ApproxMemory memory(options);
+  constexpr size_t kN = 1500;
+  ApproxArrayU32 keys =
+      memory.NewApproxArray(kN, memory.backend().default_approx_knob());
+  ApproxArrayU32 ids = memory.NewPreciseArray(kN);
+  Rng rng(31);
+  std::vector<uint32_t> words(kN);
+  for (uint32_t& w : words) w = rng.NextU32();
+  keys.Store(words);
+  std::reverse(words.begin(), words.end());
+  ids.Store(words);
+
+  GatherRun run;
+  run.keys.resize(kN);
+  run.ids.resize(kN);
+  run.keys_alone.resize(kN);
+  constexpr size_t kShards = 2;
+  auto key_plan = keys.MakeShards(kShards);
+  auto id_plan = ids.MakeShards(kShards);
+  Rng block_sizes(7);
+  for (size_t s = 0; s < kShards; ++s) {
+    const size_t begin = s * kN / kShards;
+    const size_t end = (s + 1) * kN / kShards;
+    for (size_t i = begin; i < end;) {
+      const size_t m = std::min<size_t>(end - i,
+                                         1 + block_sizes.UniformInt(64));
+      if (paired) {
+        key_plan[s].GatherPaired(i, &run.keys[i], &id_plan[s], &run.ids[i],
+                                 m);
+        key_plan[s].GatherPaired(i, &run.keys_alone[i], nullptr, nullptr, m);
+      } else {
+        for (size_t k = i; k < i + m; ++k) {
+          run.keys[k] = key_plan[s].Get(k);
+          run.ids[k] = id_plan[s].Get(k);
+        }
+        for (size_t k = i; k < i + m; ++k) {
+          run.keys_alone[k] = key_plan[s].Get(k);
+        }
+      }
+      i += m;
+    }
+    run.ledgers.push_back(key_plan[s].stats());
+    run.ledgers.push_back(id_plan[s].stats());
+  }
+  keys.MergeShards(key_plan);
+  ids.MergeShards(id_plan);
+  run.accesses = recorder.events();
+  run.device = CaptureDevice(memory.backend().cost_system());
+  return run;
+}
+
+TEST(ApproxArrayTest, GatherPairedMatchesInterleavedGets) {
+  // Flat arrays (spintronic's 0.05 read cost is not a short binary
+  // fraction), hooked arrays, and banked arrays sharing one device.
+  const std::pair<std::string_view, bool> cases[] = {
+      {kPcmBackendName, false},
+      {kSpintronicBackendName, false},
+      {kPcmBackendName, true},
+      {kBankedPcmBackendName, false},
+      {kBankedPcmBackendName, true}};
+  for (const auto& [backend, hooked] : cases) {
+    SCOPED_TRACE(std::string(backend) + (hooked ? " hooked" : ""));
+    const GatherRun paired = RunGather(backend, hooked, true);
+    const GatherRun loop = RunGather(backend, hooked, false);
+    EXPECT_EQ(paired.keys, loop.keys);
+    EXPECT_EQ(paired.ids, loop.ids);
+    EXPECT_EQ(paired.keys_alone, loop.keys);
+    ASSERT_EQ(paired.ledgers.size(), loop.ledgers.size());
+    for (size_t k = 0; k < loop.ledgers.size(); ++k) {
+      SCOPED_TRACE("ledger " + std::to_string(k));
+      ExpectSameLedger(paired.ledgers[k], loop.ledgers[k]);
+    }
+    ExpectSameDevice(paired.device, loop.device);
+    ASSERT_EQ(paired.accesses.size(), loop.accesses.size());
+    for (size_t e = 0; e < loop.accesses.size(); ++e) {
+      ASSERT_EQ(paired.accesses[e].address, loop.accesses[e].address) << e;
+      ASSERT_EQ(paired.accesses[e].kind, loop.accesses[e].kind) << e;
+    }
+    // Not vacuous: the hook saw every read, and the device charged them.
+    if (hooked) {
+      EXPECT_GT(loop.accesses.size(), 3 * loop.keys.size());
+    }
+    if (backend == kBankedPcmBackendName) {
+      EXPECT_EQ(loop.device.system.reads, 3 * loop.keys.size());
+    }
+  }
+}
+
+// Everything an unobserved paired scatter can touch.
+struct ScatterRun {
+  std::vector<uint32_t> keys, ids;
+  std::vector<MemoryStats> ledgers;
+};
+
+// Scatters keys paired with ids (and keys alone) through two shards of
+// flat arrays, then writes a probe range through each shard, whose stored
+// values show where the shard's RNG stream stood. `paired` drives
+// ScatterPaired; otherwise the interleaved Set loop it replaces.
+ScatterRun RunUnobservedScatter(bool approx_keys, double discount,
+                                bool paired) {
+  ApproxMemory::Options options = DefaultOptions();
+  options.calibration_trials = 5000;
+  options.sequential_write_discount = discount;
+  ApproxMemory memory(options);
+  constexpr size_t kN = 2000;
+  constexpr size_t kProbe = 128;
+  constexpr size_t kShards = 2;
+  const size_t size = kN + kShards * kProbe;
+  ApproxArrayU32 keys =
+      approx_keys
+          ? memory.NewApproxArray(size, memory.backend().default_approx_knob())
+          : memory.NewPreciseArray(size);
+  ApproxArrayU32 ids = memory.NewPreciseArray(size);
+  Rng rng(41);
+  std::vector<uint32_t> words(kN);
+  for (uint32_t& w : words) w = rng.NextU32();
+  // Destinations: ascending runs (sequential hits, starting at element 0),
+  // descending runs, and random jumps.
+  std::vector<size_t> dest(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    const size_t block = i / 100;
+    dest[i] = block % 3 == 0   ? i
+              : block % 3 == 1 ? block * 100 + 99 - i % 100
+                               : rng.UniformInt(kN);
+  }
+
+  auto key_plan = keys.MakeShards(kShards);
+  auto id_plan = ids.MakeShards(kShards);
+  Rng block_sizes(43);
+  for (size_t s = 0; s < kShards; ++s) {
+    const size_t begin = s * kN / kShards;
+    const size_t end = (s + 1) * kN / kShards;
+    for (size_t i = begin; i < end;) {
+      const size_t m = std::min<size_t>(
+          end - i, 1 + block_sizes.UniformInt(ApproxArrayU32::kScatterBlock));
+      const bool alone = block_sizes.UniformInt(4) == 0;
+      if (paired) {
+        key_plan[s].ScatterPaired(&dest[i], &words[i],
+                                  alone ? nullptr : &id_plan[s],
+                                  alone ? nullptr : &words[kN - i - m], m);
+      } else {
+        for (size_t k = i; k < i + m; ++k) {
+          key_plan[s].Set(dest[k], words[k]);
+          if (!alone) id_plan[s].Set(dest[k], words[kN - i - m + (k - i)]);
+        }
+      }
+      i += m;
+    }
+    key_plan[s].SetRange(kN + s * kProbe, &words[0], kProbe);
+    id_plan[s].SetRange(kN + s * kProbe, &words[0], kProbe);
+  }
+  ScatterRun run;
+  for (size_t s = 0; s < kShards; ++s) {
+    run.ledgers.push_back(key_plan[s].stats());
+    run.ledgers.push_back(id_plan[s].stats());
+  }
+  keys.MergeShards(key_plan);
+  ids.MergeShards(id_plan);
+  run.keys = keys.Snapshot();
+  run.ids = ids.Snapshot();
+  return run;
+}
+
+TEST(ApproxArrayTest, UnobservedScatterPairedMatchesInterleavedSets) {
+  for (const bool approx_keys : {true, false}) {
+    for (const double discount : {1.0, 0.5}) {
+      SCOPED_TRACE(std::string(approx_keys ? "approx" : "plain") +
+                   " keys, discount=" + std::to_string(discount));
+      const ScatterRun paired = RunUnobservedScatter(approx_keys, discount,
+                                                     true);
+      const ScatterRun loop = RunUnobservedScatter(approx_keys, discount,
+                                                   false);
+      EXPECT_EQ(paired.keys, loop.keys);
+      EXPECT_EQ(paired.ids, loop.ids);
+      ASSERT_EQ(paired.ledgers.size(), loop.ledgers.size());
+      for (size_t k = 0; k < loop.ledgers.size(); ++k) {
+        SCOPED_TRACE("ledger " + std::to_string(k));
+        ExpectSameLedger(paired.ledgers[k], loop.ledgers[k]);
+      }
+      // Not vacuous: sequential hits on both arrays, and corrupted keys on
+      // the approximate side.
+      EXPECT_GT(loop.ledgers[0].sequential_writes, 0u);
+      EXPECT_GT(loop.ledgers[1].sequential_writes, 0u);
+      if (approx_keys) {
+        EXPECT_GT(loop.ledgers[0].corrupted_writes, 0u);
+      }
+    }
+  }
+}
+
+TEST(ApproxArrayTest, PlainRangesCrossAPowerOfTwoExactly) {
+  // Each ledger is driven by single accesses to within a few words of a
+  // power of two; one range then crosses it and a second range continues
+  // the first. The ranged array must match a twin driven word by word.
+  // mlc-pcm's precise #P per word and spintronic's read cost are not
+  // short binary fractions, so every binade rounds them differently.
+  for (const std::string_view backend :
+       {kPcmBackendName, kSpintronicBackendName}) {
+    for (const double discount : {1.0, 0.8}) {
+      SCOPED_TRACE(std::string(backend) +
+                   " discount=" + std::to_string(discount));
+      ApproxMemory::Options options = DefaultOptions();
+      options.backend = std::string(backend);
+      options.calibration_trials = 5000;
+      options.sequential_write_discount = discount;
+      ApproxMemory memory(options);
+      constexpr size_t kN = 4000;
+      ApproxArrayU32 ranged = memory.NewPreciseArray(kN);
+      ApproxArrayU32 single = memory.NewPreciseArray(kN);
+      Rng rng(51);
+      std::vector<uint32_t> words(kN);
+      for (uint32_t& w : words) w = rng.NextU32();
+
+      // Writes: the ledger that grows by a fraction per word.
+      const auto fraction_ledger = [&](const MemoryStats& stats) {
+        return stats.pv_iterations > 0.0 ? stats.pv_iterations
+                                         : stats.write_cost;
+      };
+      size_t i = 0;
+      ranged.Set(i, words[i]);
+      single.Set(i, words[i]);
+      ++i;
+      const double per_word = fraction_ledger(single.stats());
+      const double top = std::exp2(std::ceil(std::log2(per_word * 1500)));
+      while (fraction_ledger(single.stats()) + 3 * per_word < top) {
+        ranged.Set(i, words[i]);
+        single.Set(i, words[i]);
+        ++i;
+      }
+      const double before = fraction_ledger(single.stats());
+      ranged.SetRange(i, &words[i], 200);
+      ranged.SetRange(i + 200, &words[i + 200], 100);
+      for (size_t k = i; k < i + 300; ++k) single.Set(k, words[k]);
+      EXPECT_LT(before, top);
+      EXPECT_GE(fraction_ledger(single.stats()), top);
+      ExpectSameLedger(ranged.stats(), single.stats());
+
+      // Reads, the same way.
+      ranged.ResetStats();
+      single.ResetStats();
+      size_t r = 0;
+      const double read_cost = memory.backend()
+                                   .ModelFor(AllocSpec::Precise(1))
+                                   .value()
+                                   ->ReadCost();
+      const double read_top = std::exp2(std::ceil(std::log2(read_cost * 1500)));
+      while (single.stats().read_cost + 3 * read_cost < read_top) {
+        ranged.Get(r);
+        single.Get(r);
+        ++r;
+      }
+      uint32_t buf[300];
+      ranged.GetRange(r, buf, 200);
+      ranged.GetRange(r + 200, buf + 200, 100);
+      for (size_t k = r; k < r + 300; ++k) EXPECT_EQ(single.Get(k), buf[k - r]);
+      EXPECT_GE(single.stats().read_cost, read_top);
+      ExpectSameLedger(ranged.stats(), single.stats());
+    }
+  }
 }
 
 }  // namespace

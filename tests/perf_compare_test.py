@@ -22,6 +22,7 @@ BASE = {m["name"]: 100.0 for m in BENCH["end_to_end"]}
 BASE.update({"approx.set_range_ns_per_word": 20.0,
              "approx.banked_set_ns_per_word": 50.0,
              "approx.host_ns_per_access": 10.0,
+             "refine.baseline_s": 0.2,
              "sort.striped_speedup": 1.6})
 
 
@@ -125,6 +126,15 @@ class PerfCompareTest(unittest.TestCase):
         within = clean([{"approx.host_ns_per_access": 10.9}] * 5)
         self.assertEqual(self.compare(clean([{}] * 5), within, trace=1), 0)
         missing = [({"approx.host_ns_per_access": None}, True, 0)] * 5
+        self.assertEqual(self.compare(clean([{}] * 5), missing, trace=1), 1)
+
+    def test_traced_runs_gate_the_precise_baseline_stage(self):
+        # Band: 0.10 * 0.2 + 3 * MAD(0) = 0.02 s.
+        slower = clean([{"refine.baseline_s": 0.221}] * 5)
+        self.assertEqual(self.compare(clean([{}] * 5), slower, trace=1), 1)
+        within = clean([{"refine.baseline_s": 0.219}] * 5)
+        self.assertEqual(self.compare(clean([{}] * 5), within, trace=1), 0)
+        missing = [({"refine.baseline_s": None}, True, 0)] * 5
         self.assertEqual(self.compare(clean([{}] * 5), missing, trace=1), 1)
 
 

@@ -1,8 +1,16 @@
 #include "common/stats.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "approx/approx_memory.h"
+#include "approx/memory_backend.h"
+#include "common/random.h"
 
 namespace approxmem {
 namespace {
@@ -87,6 +95,152 @@ TEST(HistogramTest, QuantileOfUniformFill) {
   EXPECT_NEAR(hist.Quantile(0.5), 50.0, 1.5);
   EXPECT_NEAR(hist.Quantile(0.99), 99.0, 1.5);
   EXPECT_NEAR(hist.Quantile(0.01), 1.0, 1.5);
+}
+
+double SerialAdds(double x, double c, uint64_t k) {
+  for (; k > 0; --k) x += c;
+  return x;
+}
+
+// Bitwise equality with the serial loop: AddRepeated must reproduce every
+// rounding, not merely come close.
+void ExpectSerial(double x, double c, uint64_t k) {
+  const double got = AddRepeated(x, c, k);
+  const double want = SerialAdds(x, c, k);
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+      << std::hexfloat << "x=" << x << " c=" << c << " k=" << k << ": got "
+      << got << ", want " << want;
+}
+
+TEST(AddRepeatedTest, MatchesSerialAddsOnRandomCases) {
+  // Few-bit costs tie (50 and 12.5 among them), long-mantissa costs do not.
+  const double costs[] = {50.0,  12.5,     1000.0, 0.05,   1.0 / 3.0,
+                          0.5,   0.25,     1.5,    3.0,    526.864,
+                          1e-3,  48.2736,  0.67,   1e6,    7.0};
+  Rng rng(2024);
+  for (int trial = 0; trial < 20000; ++trial) {
+    double x = 0.0;
+    double c = 0.0;
+    switch (rng.UniformInt(4)) {
+      case 0:  // A ledger that already holds whole words of one cost.
+        c = costs[rng.UniformInt(std::size(costs))];
+        x = static_cast<double>(rng.UniformInt(1000000)) * c;
+        break;
+      case 1:  // Short binary fractions far below and above x's ulp.
+        c = std::ldexp(static_cast<double>(1 + rng.UniformInt(64)),
+                       static_cast<int>(rng.UniformInt(20)) - 10);
+        x = std::ldexp(static_cast<double>(rng.UniformInt(uint64_t{1} << 53)),
+                       static_cast<int>(rng.UniformInt(80)) - 60);
+        break;
+      case 2:  // Arbitrary magnitudes.
+        c = rng.UniformDouble() *
+            std::pow(10.0, static_cast<int>(rng.UniformInt(12)) - 3);
+        x = rng.UniformDouble() *
+            std::pow(10.0, static_cast<int>(rng.UniformInt(20)) - 3);
+        break;
+      default:  // Just below a power of two: the first adds cross it.
+        c = costs[rng.UniformInt(std::size(costs))];
+        x = std::max(0.0, std::exp2(static_cast<double>(rng.UniformInt(60))) -
+                              static_cast<double>(rng.UniformInt(4)) * c);
+        break;
+    }
+    const uint64_t k = trial % 500 == 0 ? rng.UniformInt(2000000)
+                                        : rng.UniformInt(5000);
+    ExpectSerial(x, c, k);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(AddRepeatedTest, MatchesSerialAddsOnEdgeCases) {
+  // Ties at x = 2^60 (ulp 256): c / u = 0.5, 1.5, 2.5 from even and odd x.
+  for (const double c : {128.0, 384.0, 640.0, 896.0}) {
+    for (const double x : {0x1p60, 0x1p60 + 256.0, 0x1p60 + 512.0}) {
+      ExpectSerial(x, c, 1);
+      ExpectSerial(x, c, 1000);
+      ExpectSerial(x, c, 1u << 22);
+    }
+  }
+  // Binade crossings, including runs that end exactly at the top and costs
+  // larger than x.
+  ExpectSerial(0x1p53 - 3.0, 1.5, 100);
+  ExpectSerial(0x1p53 - 2.0, 1.0, 10);
+  ExpectSerial(0x1p53, 3.0, 100);
+  ExpectSerial(1.0, 1e6, 5000);
+  ExpectSerial(1e-3, 1e12, 3000);
+  // Zero, subnormal and tiny starts.
+  for (const double c : {50.0, 12.5, 0.05, 0x1p-1074, 0x1p-960}) {
+    ExpectSerial(0.0, c, 70000);
+    ExpectSerial(0x1p-1074, c, 1000);
+    ExpectSerial(0x1p-950, c, 1000);
+  }
+  // An absorbed c: below half an ulp, and exactly half an ulp.
+  ExpectSerial(1e20, 1.0, 1000);
+  ExpectSerial(0x1p60, 128.0, 1000);
+  ExpectSerial(0x1p60 + 256.0, 128.0, 1000);
+  EXPECT_EQ(AddRepeated(1e20, 1.0, uint64_t{1} << 62), 1e20);
+  // c == 0 returns x at once, whatever k.
+  EXPECT_EQ(AddRepeated(5.0, 0.0, ~uint64_t{0}), 5.0);
+  EXPECT_EQ(AddRepeated(5.0, -0.0, ~uint64_t{0}), 5.0);
+  ExpectSerial(0.0, -0.0, 3);
+  ExpectSerial(-0.0, 0.0, 3);
+  ExpectSerial(-0.0, -0.0, 3);
+  // k == 0 leaves x alone.
+  ExpectSerial(3.25, 1.5, 0);
+  ExpectSerial(-0.0, 1.5, 0);
+  // Negative or non-finite inputs take the serial loop.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double x : {nan, inf, -inf, -5.0, -0.0, 1e308}) {
+    for (const double c : {nan, inf, -inf, -1.5, 1.5, 1e307}) {
+      ExpectSerial(x, c, 7);
+    }
+  }
+}
+
+TEST(AddRepeatedTest, MatchesSerialAddsForEveryBackendCost) {
+  // The constant adds the plain paths make: each backend's read cost, and
+  // each precise model's write cost (undiscounted and discounted) and #P,
+  // for up to 16M words (the --full size).
+  std::set<double> costs;
+  for (const std::string& name : approx::RegisteredBackendNames()) {
+    approx::ApproxMemory::Options options;
+    options.backend = name;
+    options.calibration_trials = 5000;
+    approx::ApproxMemory memory(options);
+    for (const approx::AllocSpec& spec :
+         {approx::AllocSpec::Precise(1),
+          approx::AllocSpec::Approx(memory.backend().default_approx_knob(),
+                                    1)}) {
+      auto model = memory.backend().ModelFor(spec);
+      ASSERT_TRUE(model.ok()) << name;
+      costs.insert(model.value()->ReadCost());
+      if (spec.domain != approx::AllocSpec::Domain::kPrecise) continue;
+      Rng rng(1);
+      const approx::WordWriteOutcome outcome = model.value()->Write(0, rng);
+      for (const double discount : {1.0, 0.8, 0.5}) {
+        costs.insert(outcome.cost * discount);
+      }
+      costs.insert(outcome.pv_iterations);
+    }
+  }
+  EXPECT_GE(costs.size(), 6u);
+  const uint64_t checkpoints[] = {1,       2,         63,      64,
+                                  65,      1000,      65537,   uint64_t{1} << 20,
+                                  3000001, uint64_t{1} << 24};
+  for (const double c : costs) {
+    for (const double start : {0.0, 1e6 / 3.0}) {
+      double x = start;
+      uint64_t done = 0;
+      for (const uint64_t k : checkpoints) {
+        x = SerialAdds(x, c, k - done);
+        done = k;
+        const double got = AddRepeated(start, c, k);
+        EXPECT_EQ(std::memcmp(&got, &x, sizeof(double)), 0)
+            << std::hexfloat << "c=" << c << " start=" << start
+            << " k=" << k << ": got " << got << ", want " << x;
+      }
+    }
+  }
 }
 
 }  // namespace
