@@ -120,16 +120,22 @@ void ApproxArrayU32::SetRangeImpl(size_t start, const uint32_t* values,
     last_written = last;
     return;
   }
+  // A local ledger and cursor, as above: a store to deviating_ may alias
+  // the caller's ledger and would force it through memory on every word.
+  MemoryStats ledger = stats;
+  size_t last = last_written;
   constexpr size_t kChunkWords = 64;
   WordWriteOutcome outcomes[kChunkWords];
   for (size_t done = 0; done < count; done += kChunkWords) {
     const size_t chunk = std::min(count - done, kChunkWords);
     model_->WriteBatch(values + done, chunk, rng, outcomes);
     for (size_t k = 0; k < chunk; ++k) {
-      ApplyWrite(start + done + k, values[done + k], outcomes[k], stats,
-                 last_written);
+      ApplyWrite(start + done + k, values[done + k], outcomes[k], ledger,
+                 last);
     }
   }
+  stats = ledger;
+  last_written = last;
 }
 
 void ApproxArrayU32::Shard::ScatterPaired(const size_t* dest,
@@ -242,6 +248,29 @@ void ApproxArrayU32::GetRangeImpl(size_t start, uint32_t* out, size_t count,
   }
   APPROXMEM_CHECK(start + count <= actual_.size());
   std::copy(actual_.begin() + start, actual_.begin() + start + count, out);
+  ChargeUnobservedReads(count, stats);
+}
+
+void ApproxArrayU32::GetIndexed(const uint32_t* index, uint32_t* out,
+                                size_t count) {
+  if (!plain_reads_) {
+    for (size_t k = 0; k < count; ++k) out[k] = GetImpl(index[k], stats_);
+    return;
+  }
+  for (size_t k = 0; k < count; ++k) {
+    APPROXMEM_CHECK(index[k] < actual_.size());
+    out[k] = actual_[index[k]];
+  }
+  ChargeUnobservedReads(count, stats_);
+}
+
+void ApproxArrayU32::ChargeReads(size_t count) {
+  APPROXMEM_CHECK(plain_reads_);
+  ChargeUnobservedReads(count, stats_);
+}
+
+void ApproxArrayU32::ChargeUnobservedReads(size_t count,
+                                           MemoryStats& stats) const {
   // Exactly the Get loop's per-word adds, in word order.
   stats.read_cost = AddRepeated(stats.read_cost, read_cost_, count);
   stats.word_reads += count;

@@ -77,6 +77,18 @@ class ApproxArrayU32 {
     GetRangeImpl(start, out, count, stats_);
   }
 
+  /// Reads elements index[0, count) into out[0, count): bit-identical to
+  /// the loop `out[k] = Get(index[k])` — values, ledger, and the order of
+  /// fault-hook calls and device charges. An unobserved array gathers, then
+  /// charges all `count` reads with one exact repeated add.
+  void GetIndexed(const uint32_t* index, uint32_t* out, size_t count);
+
+  /// Books `count` reads of an unobserved array without performing them:
+  /// the ledger a Get loop of that length leaves, since every such read
+  /// costs the same. For callers that already hold the values (read
+  /// earlier, with nothing written since, or through PeekActual).
+  void ChargeReads(size_t count);
+
   /// Most elements one Shard::ScatterPaired call takes.
   static constexpr size_t kScatterBlock = 64;
 
@@ -142,6 +154,10 @@ class ApproxArrayU32 {
   /// same shard plan serially, in shard order.
   bool ConcurrentShardSafe() const { return plain_reads_; }
 
+  /// True when no fault hook and no device observes this array's accesses:
+  /// a read returns the stored value at a fixed cost.
+  bool unobserved() const { return plain_reads_; }
+
   /// Creates `count` shards, splitting one RNG substream per shard off this
   /// array's stream in shard order (so the plan, not the schedule, fixes
   /// every stream). Call MergeShards before touching the array directly
@@ -166,6 +182,9 @@ class ApproxArrayU32 {
 
   /// Current stored values, without touching access counters.
   std::vector<uint32_t> Snapshot() const { return actual_; }
+  /// The same values without a copy; valid until the array is next written,
+  /// moved or destroyed.
+  const std::vector<uint32_t>& stored() const { return actual_; }
 
   /// Peeks at a stored value without accounting (for verification only).
   uint32_t PeekActual(size_t i) const { return actual_[i]; }
@@ -286,6 +305,9 @@ class ApproxArrayU32 {
 
   void GetRangeImpl(size_t start, uint32_t* out, size_t count,
                     MemoryStats& stats);
+
+  // The ledger of `count` reads of an unobserved array.
+  void ChargeUnobservedReads(size_t count, MemoryStats& stats) const;
 
   // One array's side of an unobserved ScatterPaired: writes values[k] to
   // element dest[k], with outcomes[k] for a non-plain array, in order.

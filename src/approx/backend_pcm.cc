@@ -81,10 +81,10 @@ class ExactPcmWriteModel final : public WriteModel {
 /// Write() is the one-word kernel: the sampler's table stats give the cost
 /// and #P, one uniform decides whether the word errs (drawn only when its
 /// error probability is positive), and a hit falls back to the per-cell
-/// conditional sampler. WriteBatch() does the same per word with the
-/// uniforms drawn by the block scan (FirstCorrupted), whose consumed draw
-/// sequence matches the per-word loop exactly — the scalar Set path and
-/// the batched SetRange/scatter paths share every expression.
+/// conditional sampler. WriteBatch() runs the same per-word expressions
+/// over table stats computed a block at a time, so it draws exactly the
+/// per-word sequence: the scalar Set path and the batched SetRange/scatter
+/// paths store, charge and draw the same.
 class FastPcmWriteModel final : public WriteModel {
  public:
   FastPcmWriteModel(const mlc::CellCalibration& calibration,
@@ -113,29 +113,22 @@ class FastPcmWriteModel final : public WriteModel {
     const int cells = config_.CellsPerWord();
     constexpr size_t kChunkWords = 64;
     mlc::BatchErrorSampler::WordStats stats[kChunkWords];
-    double word_error[kChunkWords];
     for (size_t done = 0; done < count; done += kChunkWords) {
       const size_t chunk = std::min(count - done, kChunkWords);
       sampler_.StatsForWords(intended + done, chunk, stats);
       for (size_t w = 0; w < chunk; ++w) {
-        outcomes[done + w].stored = intended[done + w];
-        outcomes[done + w].cost = stats[w].pv_sum / cells * ns_per_iteration_;
-        outcomes[done + w].pv_iterations = stats[w].pv_sum;
-        word_error[w] = 1.0 - stats[w].no_error;
-      }
-      // One uniform per (erring-capable) word, pulled in blocks; corrupted
-      // words fall back to the live per-cell conditional sampler.
-      size_t cursor = 0;
-      while (cursor < chunk) {
-        const size_t hit = mlc::BatchErrorSampler::FirstCorrupted(
-            word_error + cursor, chunk - cursor, rng);
-        if (hit == chunk - cursor) break;
-        const size_t w = cursor + hit;
-        const mlc::WordLevels levels =
-            mlc::EncodeWord(intended[done + w], config_);
-        outcomes[done + w].stored =
-            SampleCorruptedWord(levels, stats[w].no_error, rng);
-        cursor = w + 1;
+        WordWriteOutcome& outcome = outcomes[done + w];
+        outcome.stored = intended[done + w];
+        outcome.cost = stats[w].pv_sum / cells * ns_per_iteration_;
+        outcome.pv_iterations = stats[w].pv_sum;
+        // One uniform per erring-capable word, in word order; a corrupted
+        // word falls back to the per-cell conditional sampler.
+        const double word_error = 1.0 - stats[w].no_error;
+        if (word_error > 0.0 && rng.UniformDouble() < word_error) {
+          outcome.stored = SampleCorruptedWord(
+              mlc::EncodeWord(intended[done + w], config_), stats[w].no_error,
+              rng);
+        }
       }
     }
   }

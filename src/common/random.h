@@ -32,10 +32,23 @@ class Rng {
   result_type operator()() { return Next64(); }
 
   /// Returns the next 64 random bits.
-  uint64_t Next64();
+  uint64_t Next64() {
+    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Returns a double uniformly distributed in [0, 1).
-  double UniformDouble();
+  double UniformDouble() {
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
+  }
 
   /// Returns a double uniformly distributed in [lo, hi).
   double UniformDouble(double lo, double hi);
@@ -67,6 +80,10 @@ class Rng {
   friend bool operator==(const Rng&, const Rng&) = default;
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -87,7 +87,7 @@ StatusOr<ApproxOnlyResult> ApproxSortEngine::SortApproxOnly(
     Rng rng(run.sort_seed);
     const Status status = sort::RunSort(spec, algorithm, rng);
     if (!status.ok()) return status;
-    result.sortedness = sortedness::Measure(array);
+    result.sortedness = sortedness::Measure(array, run.tuning.pool);
     result.approx_stats = array.stats() + scratch_stats;
     if (output != nullptr) *output = array.Snapshot();
   }

@@ -337,29 +337,8 @@ void BatchErrorSampler::StatsForWords(const uint32_t* words, size_t count,
 
 size_t BatchErrorSampler::FirstCorrupted(const double* word_error,
                                          size_t count, Rng& rng) {
-  constexpr size_t kBlock = 64;
-  double uniforms[kBlock];
-  size_t drawing[kBlock];
-  size_t scan = 0;
-  while (scan < count) {
-    // Collect the next block of words that actually draw.
-    size_t m = 0;
-    while (scan < count && m < kBlock) {
-      if (word_error[scan] > 0.0) drawing[m++] = scan;
-      ++scan;
-    }
-    if (m == 0) return count;
-    const Rng snapshot = rng;  // Rng is trivially copyable by design.
-    rng.FillUniformDoubles(uniforms, m);
-    for (size_t k = 0; k < m; ++k) {
-      if (uniforms[k] < word_error[drawing[k]]) {
-        // Rewind and replay exactly k+1 draws so the stream sits where the
-        // per-word loop would leave it after this word's uniform.
-        rng = snapshot;
-        for (size_t r = 0; r <= k; ++r) rng.UniformDouble();
-        return drawing[k];
-      }
-    }
+  for (size_t w = 0; w < count; ++w) {
+    if (word_error[w] > 0.0 && rng.UniformDouble() < word_error[w]) return w;
   }
   return count;
 }

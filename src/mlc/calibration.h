@@ -101,8 +101,8 @@ class CellCalibration {
 
 /// Batched fast-path word statistics derived from one CellCalibration: the
 /// per-word expected #P sum and no-error probability that the fast PCM
-/// write model needs for every written word, plus a block-uniform scan for
-/// the first erring word of a batch.
+/// write model needs for every written word, plus a scan for the first
+/// erring word of a batch.
 ///
 /// For the paper's 16x2-bit layout the per-cell tables are folded into
 /// 256-entry per-byte partials (4 table lookups per word instead of 16 cell
@@ -130,11 +130,10 @@ class BatchErrorSampler {
 
   /// Scans `word_error[0, count)` for the first word whose uniform draw
   /// lands below its error probability. Words with word_error <= 0 draw
-  /// nothing; each drawing word consumes exactly one UniformDouble, pulled
-  /// from the stream in blocks (one RNG refill per block) but replayed so
-  /// the consumed sequence is identical to the per-word loop. Returns the
-  /// erring index with the stream positioned just past that word's draw, or
-  /// `count` with every drawing word's uniform consumed.
+  /// nothing; each drawing word consumes exactly one UniformDouble, in word
+  /// order. Returns the erring index with the stream positioned just past
+  /// that word's draw, or `count` with every drawing word's uniform
+  /// consumed.
   static size_t FirstCorrupted(const double* word_error, size_t count,
                                Rng& rng);
 

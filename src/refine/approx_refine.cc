@@ -1,11 +1,13 @@
 #include "refine/approx_refine.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "sortedness/lis.h"
 
 namespace approxmem::refine {
@@ -33,33 +35,231 @@ void StoreIota(approx::ApproxArrayU32& ids, size_t n) {
   }
 }
 
-}  // namespace
+// IDs read back from precise memory are contracted to be < n, but a
+// fault-injection harness can corrupt them in storage; clamping untrusted
+// indices keeps the Key0 lookups in bounds, and verification (which checks
+// the ID column against the original keys) reports the corruption instead
+// of the process aborting on a bounds CHECK.
+uint32_t ClampId(uint32_t id, size_t n) {
+  return id < n ? id : static_cast<uint32_t>(id % n);
+}
 
-std::string_view VerifyFailureKindName(VerifyFailureKind kind) {
-  switch (kind) {
-    case VerifyFailureKind::kNone:
-      return "NONE";
-    case VerifyFailureKind::kOrderViolation:
-      return "ORDER_VIOLATION";
-    case VerifyFailureKind::kIdPermutationLoss:
-      return "ID_PERMUTATION_LOSS";
-    case VerifyFailureKind::kKeyIdMismatch:
-      return "KEY_ID_MISMATCH";
+// How the refine steps (scan, REMID-key fill, merge) reach one array.
+//
+// DirectAccess issues each Get and Set in program order. Fault hooks and a
+// banked device observe that order, and a hook may change the values read.
+//
+// CountedAccess is for plain arrays: precise, with no hook and no device.
+// Such an array returns what it stores, and every read of it costs the
+// same, so k reads in any order leave the ledger of one exact repeated add
+// (ChargeReads). A read is served from the host: from a value the caller
+// already holds (Reread: nothing writes Key0, ID or REMID during the steps)
+// or from the stored word (Read). Writes go through a block buffer into
+// SetRange; the steps write each array at 0, 1, 2, ... in order, which is
+// the sequential rule SetRange charges. Both policies leave bit-identical
+// values and ledgers.
+struct DirectAccess {
+  // The scan reads ID and Key0 element by element, interleaved.
+  static constexpr size_t kScanBlock = 1;
+
+  class Array {
+   public:
+    explicit Array(approx::ApproxArrayU32& array) : array_(array) {}
+    uint32_t Read(size_t i) { return array_.Get(i); }
+    uint32_t Reread(size_t i, uint32_t /*held*/) { return array_.Get(i); }
+    void Write(size_t i, uint32_t value) { array_.Set(i, value); }
+    void Close() {}
+
+   private:
+    approx::ApproxArrayU32& array_;
+  };
+};
+
+struct CountedAccess {
+  static constexpr size_t kScanBlock = 256;
+
+  class Array {
+   public:
+    explicit Array(approx::ApproxArrayU32& array) : array_(array) {}
+    uint32_t Read(size_t i) {
+      APPROXMEM_CHECK(i < array_.size());
+      ++reads_;
+      return array_.PeekActual(i);
+    }
+    uint32_t Reread(size_t /*i*/, uint32_t held) {
+      ++reads_;
+      return held;
+    }
+    void Write(size_t i, uint32_t value) {
+      if (fill_ == kBlock || i != start_ + fill_) Flush(i);
+      block_[fill_++] = value;
+    }
+    // Stores the buffered words and charges the counted reads.
+    void Close() {
+      Flush(0);
+      array_.ChargeReads(reads_);
+      reads_ = 0;
+    }
+
+   private:
+    static constexpr size_t kBlock = 256;
+
+    void Flush(size_t next_start) {
+      array_.SetRange(start_, block_, fill_);
+      start_ = next_start;
+      fill_ = 0;
+    }
+
+    approx::ApproxArrayU32& array_;
+    size_t reads_ = 0;
+    size_t start_ = 0;
+    size_t fill_ = 0;
+    uint32_t block_[kBlock];
+  };
+};
+
+bool AllPlain(std::initializer_list<const approx::ApproxArrayU32*> arrays) {
+  return std::all_of(arrays.begin(), arrays.end(),
+                     [](const approx::ApproxArrayU32* array) {
+                       return array->precise() && array->unobserved();
+                     });
+}
+
+// Step 1's single pass (Listing 1): ids[i] = ID[i] and
+// current[i] = Key0[ids[i]], one read each, in blocks of kScanBlock.
+template <class Access>
+void ScanIdsAndKeys(approx::ApproxArrayU32& id, approx::ApproxArrayU32& key0,
+                    size_t n, uint32_t* ids, uint32_t* current) {
+  uint32_t index[Access::kScanBlock];
+  for (size_t start = 0; start < n; start += Access::kScanBlock) {
+    const size_t m = std::min(Access::kScanBlock, n - start);
+    id.GetRange(start, ids + start, m);
+    for (size_t k = 0; k < m; ++k) index[k] = ClampId(ids[start + k], n);
+    key0.GetIndexed(index, current + start, m);
   }
-  return "UNKNOWN";
 }
 
-std::string VerificationReport::ToString() const {
-  if (ok()) return "ok";
-  return std::string(VerifyFailureKindName(failure)) + " first at " +
-         std::to_string(first_violation) + " (" +
-         std::to_string(violation_count) + " violations)";
+// Step 2's key column: RemKeys[j] = Key0[REMID[j]].
+template <class Access>
+void FillRemKeys(approx::ApproxArrayU32& key0_array,
+                 approx::ApproxArrayU32& remid_array,
+                 approx::ApproxArrayU32& rem_keys_array, size_t n) {
+  typename Access::Array key0(key0_array);
+  typename Access::Array remid(remid_array);
+  typename Access::Array rem_keys(rem_keys_array);
+  for (size_t j = 0; j < remid_array.size(); ++j) {
+    rem_keys.Write(j, key0.Read(ClampId(remid.Read(j), n)));
+  }
+  key0.Close();
+  remid.Close();
+  rem_keys.Close();
 }
 
-VerificationReport VerifyRefineOutput(const std::vector<uint32_t>& input_keys,
-                                      const std::vector<uint32_t>& out_keys,
-                                      const std::vector<uint32_t>& out_ids,
-                                      bool merge_conserved) {
+// Membership in REMID: one flag per id in [0, n); ids past n come only
+// from a corrupted ID column and go in a side set.
+class RemidSet {
+ public:
+  RemidSet(const std::vector<uint32_t>& rem_ids, size_t n)
+      : in_range_(n, 0) {
+    for (const uint32_t rem_id : rem_ids) {
+      if (rem_id < n) {
+        in_range_[rem_id] = 1;
+      } else {
+        out_of_range_.insert(rem_id);
+      }
+    }
+  }
+  bool contains(uint32_t rem_id) const {
+    return rem_id < in_range_.size() ? in_range_[rem_id] != 0
+                                     : out_of_range_.count(rem_id) != 0;
+  }
+
+ private:
+  std::vector<uint8_t> in_range_;
+  std::unordered_set<uint32_t> out_of_range_;
+};
+
+// Step 3 (Listing 2): merges the approximate LIS (re-scanned from ID,
+// skipping REMID members) with the sorted REMID into finalID/finalKey.
+// `ids` and `current` are the scan's reads of ID and Key0. The merge emits
+// exactly n elements when ID is the permutation the approx stage is
+// contracted to preserve. A corrupted ID column (e.g. faults injected into
+// precise memory) can make it emit more or fewer; the writes are clamped
+// and false is returned, so verification fails instead of the process
+// aborting and a fault-injection harness can observe the failure.
+template <class Access>
+bool MergeLisWithRemid(approx::ApproxArrayU32& key0_array,
+                       approx::ApproxArrayU32& id_array,
+                       approx::ApproxArrayU32& remid_array,
+                       approx::ApproxArrayU32& final_key_array,
+                       approx::ApproxArrayU32& final_id_array,
+                       const RemidSet& remid_set, const uint32_t* ids,
+                       const uint32_t* current) {
+  typename Access::Array key0(key0_array);
+  typename Access::Array id(id_array);
+  typename Access::Array remid(remid_array);
+  typename Access::Array final_key(final_key_array);
+  typename Access::Array final_id(final_id_array);
+  const size_t n = id_array.size();
+  const size_t rem = remid_array.size();
+  bool merge_conserved = true;
+  size_t lis_ptr = 0;
+  size_t rem_ptr = 0;
+  size_t final_ptr = 0;
+  while (lis_ptr < n) {
+    // Find the next element of the approximate LIS.
+    uint32_t lis_id = 0;
+    bool have_lis = false;
+    while (lis_ptr < n) {
+      lis_id = id.Reread(lis_ptr, ids[lis_ptr]);
+      if (!remid_set.contains(lis_id)) {
+        have_lis = true;
+        break;
+      }
+      ++lis_ptr;
+    }
+    if (!have_lis) break;
+    const uint32_t lis_key = key0.Reread(ClampId(lis_id, n), current[lis_ptr]);
+    // Merge: emit REMID entries smaller than the LIS head first.
+    while (rem_ptr < rem && final_ptr < n) {
+      const uint32_t rem_id = remid.Read(rem_ptr);
+      const uint32_t rem_key = key0.Read(ClampId(rem_id, n));
+      if (rem_key >= lis_key) break;
+      final_id.Write(final_ptr, rem_id);
+      final_key.Write(final_ptr, rem_key);
+      ++final_ptr;
+      ++rem_ptr;
+    }
+    if (final_ptr >= n) {
+      merge_conserved = false;
+      break;
+    }
+    final_id.Write(final_ptr, lis_id);
+    final_key.Write(final_ptr, lis_key);
+    ++final_ptr;
+    ++lis_ptr;
+  }
+  while (rem_ptr < rem && final_ptr < n) {
+    const uint32_t rem_id = remid.Read(rem_ptr);
+    final_id.Write(final_ptr, rem_id);
+    final_key.Write(final_ptr, key0.Read(ClampId(rem_id, n)));
+    ++final_ptr;
+    ++rem_ptr;
+  }
+  if (final_ptr != n || rem_ptr != rem) merge_conserved = false;
+  key0.Close();
+  id.Close();
+  remid.Close();
+  final_key.Close();
+  final_id.Close();
+  return merge_conserved;
+}
+
+// The serial check: counts every violation and locates the first.
+VerificationReport VerifySerially(const std::vector<uint32_t>& input_keys,
+                                  const std::vector<uint32_t>& out_keys,
+                                  const std::vector<uint32_t>& out_ids,
+                                  bool merge_conserved) {
   VerificationReport v;
   const size_t n = input_keys.size();
   const auto note = [&v](VerifyFailureKind kind, size_t index) {
@@ -93,6 +293,90 @@ VerificationReport VerifyRefineOutput(const std::vector<uint32_t>& input_keys,
     }
   }
   return v;
+}
+
+// True when a conserved output of n elements passes every check, tested
+// in stripes on `pool`: order, id range and key match per element, and
+// duplicate ids through one bitmap per stripe, then across the bitmaps
+// (n in-range ids with no duplicate are a permutation). Says nothing
+// about where an anomaly is.
+bool CleanOnPool(const std::vector<uint32_t>& input_keys,
+                 const std::vector<uint32_t>& out_keys,
+                 const std::vector<uint32_t>& out_ids, ThreadPool& pool) {
+  const size_t n = input_keys.size();
+  const size_t stripes = static_cast<size_t>(pool.thread_count());
+  const size_t words = (n + 63) / 64;
+  std::vector<uint64_t> seen(stripes * words, 0);
+  std::vector<uint8_t> clean(stripes, 1);
+  pool.ParallelFor(0, stripes, [&](size_t s) {
+    uint64_t* mine = seen.data() + s * words;
+    const size_t end = (s + 1) * n / stripes;
+    for (size_t i = s * n / stripes; i < end; ++i) {
+      const uint32_t rid = out_ids[i];
+      const uint64_t bit = uint64_t{1} << (rid % 64);
+      if (rid >= n || out_keys[i] != input_keys[rid] ||
+          (i > 0 && out_keys[i - 1] > out_keys[i]) ||
+          (mine[rid / 64] & bit) != 0) {
+        clean[s] = 0;
+        return;
+      }
+      mine[rid / 64] |= bit;
+    }
+  });
+  if (std::find(clean.begin(), clean.end(), 0) != clean.end()) return false;
+  pool.ParallelFor(0, stripes, [&](size_t s) {
+    const size_t end = (s + 1) * words / stripes;
+    for (size_t w = s * words / stripes; w < end; ++w) {
+      uint64_t any = 0;
+      for (size_t t = 0; t < stripes; ++t) {
+        const uint64_t bits = seen[t * words + w];
+        if ((any & bits) != 0) {
+          clean[s] = 0;
+          return;
+        }
+        any |= bits;
+      }
+    }
+  });
+  return std::find(clean.begin(), clean.end(), 0) == clean.end();
+}
+
+}  // namespace
+
+std::string_view VerifyFailureKindName(VerifyFailureKind kind) {
+  switch (kind) {
+    case VerifyFailureKind::kNone:
+      return "NONE";
+    case VerifyFailureKind::kOrderViolation:
+      return "ORDER_VIOLATION";
+    case VerifyFailureKind::kIdPermutationLoss:
+      return "ID_PERMUTATION_LOSS";
+    case VerifyFailureKind::kKeyIdMismatch:
+      return "KEY_ID_MISMATCH";
+  }
+  return "UNKNOWN";
+}
+
+std::string VerificationReport::ToString() const {
+  if (ok()) return "ok";
+  return std::string(VerifyFailureKindName(failure)) + " first at " +
+         std::to_string(first_violation) + " (" +
+         std::to_string(violation_count) + " violations)";
+}
+
+VerificationReport VerifyRefineOutput(const std::vector<uint32_t>& input_keys,
+                                      const std::vector<uint32_t>& out_keys,
+                                      const std::vector<uint32_t>& out_ids,
+                                      bool merge_conserved, ThreadPool* pool) {
+  const size_t n = input_keys.size();
+  // A clean output reports no violation; anything else is located and
+  // counted by the serial check.
+  if (pool != nullptr && pool->thread_count() > 1 && merge_conserved &&
+      out_keys.size() == n && out_ids.size() == n &&
+      CleanOnPool(input_keys, out_keys, out_ids, *pool)) {
+    return VerificationReport{};
+  }
+  return VerifySerially(input_keys, out_keys, out_ids, merge_conserved);
 }
 
 std::vector<size_t> HeuristicRemPositions(const std::vector<uint32_t>& values) {
@@ -169,7 +453,12 @@ Status RunApproxStage(const std::vector<uint32_t>& keys,
   key0.ResetStats();
   id.ResetStats();
 
-  // ---- Approx preparation: copy Key0 into the approximate domain.
+  // ---- Approx preparation: copy Key0 into the approximate domain. The
+  // copy stays serial: its approximate writes consume Key~'s one RNG
+  // stream in element order, so it cannot be split. (A caller's precise
+  // Eq. 2 baseline stays after the refine stage, not beside it: each
+  // allocation splits a stream off the memory's RNG, and running the two
+  // side by side would reorder those splits.)
   state->key_approx.emplace(options.approx_alloc(n));
   approx::ApproxArrayU32& key_approx = *state->key_approx;
   key_approx.CopyFrom(key0);
@@ -201,7 +490,8 @@ Status RunApproxStage(const std::vector<uint32_t>& keys,
   if (!sort_status.ok()) return sort_status;
 
   if (options.measure_approx_sortedness) {
-    report.approx_sortedness = sortedness::Measure(key_approx);
+    report.approx_sortedness =
+        sortedness::Measure(key_approx, options.tuning.pool);
   }
   return Status::Ok();
 }
@@ -244,20 +534,15 @@ Status RunRefineStage(ApproxStageState& state, const RefineOptions& options,
 
   // ---- Refine stage, step 1: extract a sorted subsequence of Key~ (read
   // back through Key0[ID[i]]); leftovers land in REMID. The scan reads ID
-  // once and Key0 once per element (Listing 1's single pass).
-  // IDs read back from precise memory are contracted to be < n, but a
-  // fault-injection harness can corrupt them in storage; clamp untrusted
-  // indices so the lookups stay in bounds and verification (which checks
-  // the ID column against the original keys) reports the corruption
-  // instead of the process aborting on a bounds CHECK.
-  const auto key0_at = [&key0, n](uint32_t index) {
-    return key0.Get(index < n ? index : index % n);
-  };
+  // once and Key0 once per element (Listing 1's single pass). Each step
+  // counts its reads when every array it touches is plain (see
+  // CountedAccess), and issues them one by one otherwise.
   std::vector<uint32_t> ids(n);
   std::vector<uint32_t> current(n);
-  for (size_t i = 0; i < n; ++i) {
-    ids[i] = id.Get(i);
-    current[i] = key0_at(ids[i]);
+  if (AllPlain({&key0, &id})) {
+    ScanIdsAndKeys<CountedAccess>(id, key0, n, ids.data(), current.data());
+  } else {
+    ScanIdsAndKeys<DirectAccess>(id, key0, n, ids.data(), current.data());
   }
   std::vector<uint32_t> rem_ids;
   if (options.lis_mode == LisMode::kHeuristic) {
@@ -293,8 +578,10 @@ Status RunRefineStage(ApproxStageState& state, const RefineOptions& options,
   // from Key0 (Rem~ additional precise writes; slightly conservative
   // relative to the paper's alpha(Rem~)-only ledger, see DESIGN.md).
   approx::ApproxArrayU32 rem_keys = options.precise_alloc(rem);
-  for (size_t j = 0; j < rem; ++j) {
-    rem_keys.Set(j, key0_at(remid.Get(j)));
+  if (AllPlain({&key0, &remid, &rem_keys})) {
+    FillRemKeys<CountedAccess>(key0, remid, rem_keys, n);
+  } else {
+    FillRemKeys<DirectAccess>(key0, remid, rem_keys, n);
   }
   {
     sort::SortSpec spec;
@@ -316,88 +603,31 @@ Status RunRefineStage(ApproxStageState& state, const RefineOptions& options,
     }
   }
 
-  // ---- Refine stage, step 3 (Listing 2): merge the approximate LIS (re-
-  // scanned from ID, skipping REMID members) with the sorted REMID.
-  // Materializing REMIDset costs Rem~ writes, as in the listing. Host-side
-  // membership is one flag per id in [0, n); ids past n come only from a
-  // corrupted ID column and go in a side set.
-  std::vector<uint8_t> in_remid(n, 0);
-  std::unordered_set<uint32_t> remid_out_of_range;
-  for (const uint32_t rem_id : rem_ids) {
-    if (rem_id < n) {
-      in_remid[rem_id] = 1;
-    } else {
-      remid_out_of_range.insert(rem_id);
-    }
-  }
-  const auto in_remid_set = [&](uint32_t rem_id) {
-    return rem_id < n ? in_remid[rem_id] != 0
-                      : remid_out_of_range.count(rem_id) != 0;
-  };
+  // ---- Refine stage, step 3 (Listing 2): merge the approximate LIS with
+  // the sorted REMID. Materializing REMIDset costs Rem~ writes, as in the
+  // listing; the host keeps its membership flags.
+  const RemidSet remid_set(rem_ids, n);
   approx::ApproxArrayU32 remid_set_storage = options.precise_alloc(rem);
   remid_set_storage.Store(rem_ids);
 
   approx::ApproxArrayU32 final_key_array = options.precise_alloc(n);
   approx::ApproxArrayU32 final_id_array = options.precise_alloc(n);
-  // The merge emits exactly n elements when ID is the permutation the
-  // approx stage is contracted to preserve. A corrupted ID column (e.g.
-  // faults injected into precise memory) can make it emit more or fewer;
-  // clamp the writes and let verification fail instead of aborting, so a
-  // fault-injection harness can observe the failure.
-  bool merge_conserved = true;
-  {
-    size_t lis_ptr = 0;
-    size_t rem_ptr = 0;
-    size_t final_ptr = 0;
-    while (lis_ptr < n) {
-      // Find the next element of the approximate LIS.
-      uint32_t lis_id = 0;
-      bool have_lis = false;
-      while (lis_ptr < n) {
-        lis_id = id.Get(lis_ptr);
-        if (!in_remid_set(lis_id)) {
-          have_lis = true;
-          break;
-        }
-        ++lis_ptr;
-      }
-      if (!have_lis) break;
-      const uint32_t lis_key = key0_at(lis_id);
-      // Merge: emit REMID entries smaller than the LIS head first.
-      while (rem_ptr < rem && final_ptr < n) {
-        const uint32_t rem_id = remid.Get(rem_ptr);
-        const uint32_t rem_key = key0_at(rem_id);
-        if (rem_key >= lis_key) break;
-        final_id_array.Set(final_ptr, rem_id);
-        final_key_array.Set(final_ptr, rem_key);
-        ++final_ptr;
-        ++rem_ptr;
-      }
-      if (final_ptr >= n) {
-        merge_conserved = false;
-        break;
-      }
-      final_id_array.Set(final_ptr, lis_id);
-      final_key_array.Set(final_ptr, lis_key);
-      ++final_ptr;
-      ++lis_ptr;
-    }
-    while (rem_ptr < rem && final_ptr < n) {
-      const uint32_t rem_id = remid.Get(rem_ptr);
-      final_id_array.Set(final_ptr, rem_id);
-      final_key_array.Set(final_ptr, key0_at(rem_id));
-      ++final_ptr;
-      ++rem_ptr;
-    }
-    if (final_ptr != n || rem_ptr != rem) merge_conserved = false;
-  }
+  const bool merge_conserved =
+      AllPlain({&key0, &id, &remid, &final_key_array, &final_id_array})
+          ? MergeLisWithRemid<CountedAccess>(key0, id, remid, final_key_array,
+                                             final_id_array, remid_set,
+                                             ids.data(), current.data())
+          : MergeLisWithRemid<DirectAccess>(key0, id, remid, final_key_array,
+                                            final_id_array, remid_set,
+                                            ids.data(), current.data());
 
   // ---- Verification: exactly sorted, consistent, and a permutation.
   {
     std::vector<uint32_t> out_keys = final_key_array.Snapshot();
     std::vector<uint32_t> out_ids = final_id_array.Snapshot();
-    report->verification = VerifyRefineOutput(state.input_keys, out_keys,
-                                              out_ids, merge_conserved);
+    report->verification =
+        VerifyRefineOutput(state.input_keys, out_keys, out_ids,
+                           merge_conserved, options.tuning.pool);
     if (final_keys != nullptr) *final_keys = std::move(out_keys);
     if (final_ids != nullptr) *final_ids = std::move(out_ids);
   }

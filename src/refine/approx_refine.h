@@ -95,11 +95,15 @@ struct VerificationReport {
 /// Verifies a <Key, ID> output against the original keys: non-decreasing
 /// keys, IDs a permutation of 0..n-1, and finalKey[i] == Key0[finalID[i]].
 /// `merge_conserved` is false when the producing merge already lost
-/// element conservation (counted as an ID-permutation loss).
+/// element conservation (counted as an ID-permutation loss). With a `pool`
+/// of two or more threads, a clean output is confirmed in stripes on it;
+/// any anomaly re-runs the serial check, so the report is the same at
+/// every pool size.
 VerificationReport VerifyRefineOutput(const std::vector<uint32_t>& input_keys,
                                       const std::vector<uint32_t>& out_keys,
                                       const std::vector<uint32_t>& out_ids,
-                                      bool merge_conserved = true);
+                                      bool merge_conserved = true,
+                                      ThreadPool* pool = nullptr);
 
 /// Cost ledger and verification outcome of one approx-refine execution.
 struct RefineReport {

@@ -6,13 +6,27 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
+
+namespace approxmem {
+class ThreadPool;
+}
 
 namespace approxmem::sortedness {
 
 /// Number of pairs (i < j) with values[i] > values[j]; O(n log n)
 /// merge-counting.
 uint64_t InversionCount(const std::vector<uint32_t>& values);
+
+/// The same count with its work on `pool` (serial when null). The input is
+/// split into four fixed parts: each is sort-and-counted as a task of its
+/// own, then the two pairs of parts are merge-counted, then the halves. The
+/// split does not depend on the thread count and the count is an integer,
+/// so the result is InversionCount's at every pool size. `alongside`, when
+/// set, runs as a fifth task beside the four parts.
+uint64_t InversionCount(const std::vector<uint32_t>& values, ThreadPool* pool,
+                        const std::function<void()>& alongside);
 
 /// InversionCount normalized by n*(n-1)/2 (0 = sorted, ~0.5 = random,
 /// 1 = reverse sorted). 0 for n < 2.

@@ -5,11 +5,17 @@
 namespace approxmem::sortedness {
 
 size_t LongestNonDecreasingSubsequence(const std::vector<uint32_t>& values) {
+  std::vector<uint32_t> tails;
+  tails.reserve(values.size() / 4);
+  return LongestNonDecreasingSubsequence(values, tails);
+}
+
+size_t LongestNonDecreasingSubsequence(const std::vector<uint32_t>& values,
+                                       std::vector<uint32_t>& tails) {
   // Patience sorting: tails[k] is the smallest possible tail of a
   // non-decreasing subsequence of length k+1. upper_bound keeps runs of
   // equal values extendable (non-decreasing, not strictly increasing).
-  std::vector<uint32_t> tails;
-  tails.reserve(values.size() / 4);
+  tails.clear();
   for (const uint32_t v : values) {
     // Nearly sorted input mostly extends the longest pile: skip the search.
     if (tails.empty() || v >= tails.back()) {

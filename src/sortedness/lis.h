@@ -16,6 +16,11 @@ namespace approxmem::sortedness {
 /// algorithm. Empty input yields 0.
 size_t LongestNonDecreasingSubsequence(const std::vector<uint32_t>& values);
 
+/// The same, building the piles in `tails` (cleared first, its capacity
+/// reused), so that the caller decides which thread allocates it.
+size_t LongestNonDecreasingSubsequence(const std::vector<uint32_t>& values,
+                                       std::vector<uint32_t>& tails);
+
 /// Rem(X) = |X| - LIS(X).
 size_t Rem(const std::vector<uint32_t>& values);
 

@@ -7,6 +7,10 @@
 
 #include "approx/approx_array.h"
 
+namespace approxmem {
+class ThreadPool;
+}
+
 namespace approxmem::sortedness {
 
 /// Everything Figures 4-7 and Table 3 report about one sorted-in-approx run.
@@ -24,8 +28,11 @@ struct SortednessReport {
 bool IsSorted(const std::vector<uint32_t>& values);
 
 /// Computes the full report from an array's stored/intended state. Does not
-/// touch the array's access counters.
-SortednessReport Measure(const approx::ApproxArrayU32& array);
+/// touch the array's access counters. With a `pool`, the inversion count's
+/// fixed four-part split and the LIS run as pool tasks; the report is the
+/// same at every pool size.
+SortednessReport Measure(const approx::ApproxArrayU32& array,
+                         ThreadPool* pool = nullptr);
 
 /// Computes the report from a plain snapshot (no error-rate information).
 SortednessReport Measure(const std::vector<uint32_t>& values);

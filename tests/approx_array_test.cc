@@ -626,6 +626,90 @@ TEST(ApproxArrayTest, GatherPairedMatchesInterleavedGets) {
   }
 }
 
+// Everything an indexed read can touch, captured after the fact.
+struct IndexedRun {
+  std::vector<uint32_t> values;
+  MemoryStats ledger;
+  std::vector<AccessEvent> accesses;
+  DeviceState device;
+};
+
+// Reads approximate words at random, repeated and ascending indices in
+// blocks of 0..300, through GetIndexed or through the Get loop it replaces.
+IndexedRun RunIndexed(std::string_view backend, bool hooked, bool indexed) {
+  RecordingHook recorder;
+  ApproxMemory::Options options = DefaultOptions();
+  options.backend = std::string(backend);
+  options.calibration_trials = 5000;
+  if (hooked) options.fault_hook = &recorder;
+  ApproxMemory memory(options);
+  constexpr size_t kN = 1200;
+  ApproxArrayU32 array =
+      memory.NewApproxArray(kN, memory.backend().default_approx_knob());
+  Rng rng(61);
+  std::vector<uint32_t> words(kN);
+  for (uint32_t& w : words) w = rng.NextU32();
+  array.Store(words);
+  array.ResetStats();
+
+  std::vector<uint32_t> index;
+  for (size_t k = 0; k < 3000; ++k) {
+    index.push_back(k % 3 == 0   ? static_cast<uint32_t>(k % kN)
+                    : k % 3 == 1 ? 7u
+                                 : static_cast<uint32_t>(rng.UniformInt(kN)));
+  }
+  IndexedRun run;
+  run.values.resize(index.size());
+  Rng block_sizes(67);
+  for (size_t i = 0; i < index.size();) {
+    const size_t m =
+        std::min<size_t>(index.size() - i, block_sizes.UniformInt(301));
+    if (indexed) {
+      array.GetIndexed(&index[i], &run.values[i], m);
+    } else {
+      for (size_t k = i; k < i + m; ++k) run.values[k] = array.Get(index[k]);
+    }
+    i += m;
+  }
+  run.ledger = array.stats();
+  run.accesses = recorder.events();
+  run.device = CaptureDevice(memory.backend().cost_system());
+  return run;
+}
+
+TEST(ApproxArrayTest, GetIndexedMatchesGetLoop) {
+  // Flat arrays (spintronic's 0.05 read cost is not a short binary
+  // fraction), a hooked array, and banked arrays.
+  const std::pair<std::string_view, bool> cases[] = {
+      {kPcmBackendName, false},
+      {kSpintronicBackendName, false},
+      {kPcmBackendName, true},
+      {kBankedPcmBackendName, false},
+      {kBankedPcmBackendName, true}};
+  for (const auto& [backend, hooked] : cases) {
+    SCOPED_TRACE(std::string(backend) + (hooked ? " hooked" : ""));
+    const IndexedRun indexed = RunIndexed(backend, hooked, true);
+    const IndexedRun loop = RunIndexed(backend, hooked, false);
+    EXPECT_EQ(indexed.values, loop.values);
+    ExpectSameLedger(indexed.ledger, loop.ledger);
+    ExpectSameDevice(indexed.device, loop.device);
+    ASSERT_EQ(indexed.accesses.size(), loop.accesses.size());
+    for (size_t e = 0; e < loop.accesses.size(); ++e) {
+      ASSERT_EQ(indexed.accesses[e].address, loop.accesses[e].address) << e;
+      ASSERT_EQ(indexed.accesses[e].kind, loop.accesses[e].kind) << e;
+    }
+    // Not vacuous: every read was charged, seen by the hook, and charged
+    // by the device.
+    EXPECT_EQ(loop.ledger.word_reads, loop.values.size());
+    if (hooked) {
+      EXPECT_GT(loop.accesses.size(), loop.values.size());
+    }
+    if (backend == kBankedPcmBackendName) {
+      EXPECT_EQ(loop.device.system.reads, loop.values.size());
+    }
+  }
+}
+
 // Everything an unobserved paired scatter can touch.
 struct ScatterRun {
   std::vector<uint32_t> keys, ids;

@@ -8,6 +8,7 @@
 
 #include "approx/approx_memory.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "sortedness/inversions.h"
 #include "sortedness/lis.h"
 #include "sortedness/shape.h"
@@ -139,6 +140,64 @@ TEST(MeasuresTest, ReportFromArrayIncludesErrorRate) {
   const SortednessReport report = Measure(array);
   EXPECT_GT(report.error_rate, 0.1);
   EXPECT_DOUBLE_EQ(report.error_rate, array.ErrorRate());
+}
+
+TEST(MeasuresTest, PooledMatchesSerial) {
+  approx::ApproxMemory::Options options;
+  options.calibration_trials = 20000;
+  approx::ApproxMemory memory(options);
+  Rng rng(5);
+  // Random words in approximate memory (a non-zero error rate), then
+  // sorted, reversed, all-equal and tiny inputs in precise memory.
+  std::vector<std::pair<std::string, approx::ApproxArrayU32>> cases;
+  approx::ApproxArrayU32 noisy = memory.NewApproxArray(5003, 0.12);
+  for (size_t i = 0; i < noisy.size(); ++i) noisy.Set(i, rng.NextU32());
+  cases.emplace_back("random", std::move(noisy));
+  const auto precise = [&](const std::vector<uint32_t>& values) {
+    approx::ApproxArrayU32 array = memory.NewPreciseArray(values.size());
+    array.Store(values);
+    return array;
+  };
+  std::vector<uint32_t> sorted(3001);
+  for (auto& v : sorted) v = static_cast<uint32_t>(rng.UniformInt(500));
+  std::sort(sorted.begin(), sorted.end());
+  cases.emplace_back("sorted", precise(sorted));
+  cases.emplace_back("reversed",
+                     precise(std::vector<uint32_t>(sorted.rbegin(),
+                                                   sorted.rend())));
+  cases.emplace_back("all-equal", precise(std::vector<uint32_t>(999, 42)));
+  for (size_t n = 0; n < 8; ++n) {
+    std::vector<uint32_t> tiny(n);
+    for (auto& v : tiny) v = static_cast<uint32_t>(rng.UniformInt(4));
+    cases.emplace_back("n=" + std::to_string(n), precise(tiny));
+  }
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  ThreadPool pool8(8);
+  for (const auto& [name, array] : cases) {
+    SCOPED_TRACE(name);
+    const std::vector<uint32_t> values = array.Snapshot();
+    const SortednessReport serial = Measure(array);
+    EXPECT_EQ(serial.rem, values.size() -
+                              LongestNonDecreasingSubsequenceBruteForce(values));
+    EXPECT_EQ(serial.inversions, InversionCountBruteForce(values));
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4, &pool8}) {
+      SCOPED_TRACE("threads=" + std::to_string(pool->thread_count()));
+      const SortednessReport pooled = Measure(array, pool);
+      EXPECT_EQ(pooled.n, serial.n);
+      EXPECT_EQ(pooled.rem, serial.rem);
+      EXPECT_EQ(pooled.rem_ratio, serial.rem_ratio);
+      EXPECT_EQ(pooled.error_rate, serial.error_rate);
+      EXPECT_EQ(pooled.inversions, serial.inversions);
+      EXPECT_EQ(pooled.inversion_ratio, serial.inversion_ratio);
+      EXPECT_EQ(pooled.sorted, serial.sorted);
+    }
+  }
+  // Not vacuous: the random case has errors and is far from sorted.
+  const SortednessReport random = Measure(cases[0].second, &pool2);
+  EXPECT_GT(random.error_rate, 0.0);
+  EXPECT_GT(random.inversions, 0u);
 }
 
 TEST(MeasuresTest, IsPermutationOf) {

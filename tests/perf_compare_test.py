@@ -23,6 +23,7 @@ BASE.update({"approx.set_range_ns_per_word": 20.0,
              "approx.banked_set_ns_per_word": 50.0,
              "approx.host_ns_per_access": 10.0,
              "refine.baseline_s": 0.2,
+             "refine.refine_stage_s": 0.05,
              "sort.striped_speedup": 1.6})
 
 
@@ -135,6 +136,15 @@ class PerfCompareTest(unittest.TestCase):
         within = clean([{"refine.baseline_s": 0.219}] * 5)
         self.assertEqual(self.compare(clean([{}] * 5), within, trace=1), 0)
         missing = [({"refine.baseline_s": None}, True, 0)] * 5
+        self.assertEqual(self.compare(clean([{}] * 5), missing, trace=1), 1)
+
+    def test_traced_runs_gate_the_refine_stage(self):
+        # Band: 0.10 * 0.05 + 3 * MAD(0) = 0.005 s.
+        slower = clean([{"refine.refine_stage_s": 0.0551}] * 5)
+        self.assertEqual(self.compare(clean([{}] * 5), slower, trace=1), 1)
+        within = clean([{"refine.refine_stage_s": 0.0549}] * 5)
+        self.assertEqual(self.compare(clean([{}] * 5), within, trace=1), 0)
+        missing = [({"refine.refine_stage_s": None}, True, 0)] * 5
         self.assertEqual(self.compare(clean([{}] * 5), missing, trace=1), 1)
 
 
