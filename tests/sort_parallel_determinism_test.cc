@@ -179,14 +179,19 @@ uint64_t PinnedRunDigest(const sort::AlgorithmId& algorithm, int sort_threads,
   return hash;
 }
 
-// The digests were captured from the per-element key, id, key, id Set
-// scatter. Hooked arrays are not shard-safe, so their striped passes run
-// serially and the block scatter must hand the hook every write in that
-// loop's order; unhooked runs go concurrent at four threads. Any
-// reordering of draws or hook calls moves a digest.
+// The lsd3 and hlsd3 digests were captured from the per-element key, id,
+// key, id Set scatter. Hooked arrays are not shard-safe, so their striped
+// passes run serially and the block scatter must hand the hook every write
+// in that loop's order; unhooked runs go concurrent at four threads.
+// hlsd4 runs eight passes, so it ends without the parity copy that hlsd3's
+// eleven need. msd3 and hmsd3 pin the MSD segment loops, which do not
+// stripe. Any reordering of draws or hook calls moves a digest.
 TEST(StripedSortPinTest, DigestsMatchThePerElementScatter) {
   const sort::AlgorithmId lsd3{sort::SortKind::kLsdRadix, 3};
   const sort::AlgorithmId hlsd3{sort::SortKind::kLsdHistogram, 3};
+  const sort::AlgorithmId hlsd4{sort::SortKind::kLsdHistogram, 4};
+  const sort::AlgorithmId msd3{sort::SortKind::kMsdRadix, 3};
+  const sort::AlgorithmId hmsd3{sort::SortKind::kMsdHistogram, 3};
   const struct {
     sort::AlgorithmId algorithm;
     bool hooked;
@@ -194,8 +199,14 @@ TEST(StripedSortPinTest, DigestsMatchThePerElementScatter) {
   } pins[] = {
       {lsd3, true, 0xf2ba430f5b54884dULL},
       {hlsd3, true, 0x6aafa85a7aaa00e9ULL},
+      {hlsd4, true, 0x119c54cba90ae833ULL},
+      {msd3, true, 0xda83240f01f41296ULL},
+      {hmsd3, true, 0x8a12e5f53aba6116ULL},
       {lsd3, false, 0x3875dfc4e694ccecULL},
       {hlsd3, false, 0xc51379a9a5ab8bc2ULL},
+      {hlsd4, false, 0x37319cf82659e1afULL},
+      {msd3, false, 0x90696f3fb7fa7526ULL},
+      {hmsd3, false, 0x64c149b7fb91a291ULL},
   };
   for (const auto& pin : pins) {
     for (const int threads : {1, 4}) {
