@@ -11,6 +11,7 @@
 #define APPROXMEM_APPROX_APPROX_ARRAY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "approx/fault_hook.h"
@@ -96,7 +97,7 @@ class ApproxArrayU32 {
   /// its own RNG substream, stats ledger, and sequential-write cursor.
   /// Created in batches by MakeShards (which fixes each shard's substream
   /// by split order); folded back by MergeShards. Shards of one array may
-  /// run concurrently only when ConcurrentShardSafe() holds and no index is
+  /// run concurrently only when unobserved() holds and no index is
   /// touched by two shards; otherwise drive them serially in shard order —
   /// either way the results depend only on the shard plan, never on the
   /// thread count. Each shard sits on cache lines of its own: the shards
@@ -148,14 +149,12 @@ class ApproxArrayU32 {
     size_t last_written_ = static_cast<size_t>(-1);
   };
 
-  /// True when shards of this array may execute on different threads at the
-  /// same time: no fault hook and no device (shared mutable state that
-  /// observes the order of calls). When false, callers must drive the
-  /// same shard plan serially, in shard order.
-  bool ConcurrentShardSafe() const { return plain_reads_; }
-
   /// True when no fault hook and no device observes this array's accesses:
-  /// a read returns the stored value at a fixed cost.
+  /// a read returns the stored value at a fixed cost, and shards of the
+  /// array may execute on different threads at the same time (the hook and
+  /// the device are shared mutable state that observes the order of calls).
+  /// When false, callers must drive the same shard plan serially, in shard
+  /// order.
   bool unobserved() const { return plain_reads_; }
 
   /// Creates `count` shards, splitting one RNG substream per shard off this
@@ -185,6 +184,9 @@ class ApproxArrayU32 {
   /// The same values without a copy; valid until the array is next written,
   /// moved or destroyed.
   const std::vector<uint32_t>& stored() const { return actual_; }
+  /// Moves the stored values out of an array that is about to be dropped,
+  /// with no copy; the array must not be accessed afterwards.
+  std::vector<uint32_t> TakeStored() && { return std::move(actual_); }
 
   /// Peeks at a stored value without accounting (for verification only).
   uint32_t PeekActual(size_t i) const { return actual_[i]; }

@@ -622,15 +622,9 @@ Status RunRefineStage(ApproxStageState& state, const RefineOptions& options,
                                             ids.data(), current.data());
 
   // ---- Verification: exactly sorted, consistent, and a permutation.
-  {
-    std::vector<uint32_t> out_keys = final_key_array.Snapshot();
-    std::vector<uint32_t> out_ids = final_id_array.Snapshot();
-    report->verification =
-        VerifyRefineOutput(state.input_keys, out_keys, out_ids,
-                           merge_conserved, options.tuning.pool);
-    if (final_keys != nullptr) *final_keys = std::move(out_keys);
-    if (final_ids != nullptr) *final_ids = std::move(out_ids);
-  }
+  report->verification = VerifyRefineOutput(
+      state.input_keys, final_key_array.stored(), final_id_array.stored(),
+      merge_conserved, options.tuning.pool);
 
   // ---- Close the ledger: everything the refine stage touched in precise
   // memory (Key0/ID reads, REMID, RemKeys, set storage, outputs).
@@ -640,6 +634,13 @@ Status RunRefineStage(ApproxStageState& state, const RefineOptions& options,
   report->refine_precise += final_key_array.stats();
   report->refine_precise += final_id_array.stats();
   close_ledger();
+  // The output arrays die here: hand their words over without a copy.
+  if (final_keys != nullptr) {
+    *final_keys = std::move(final_key_array).TakeStored();
+  }
+  if (final_ids != nullptr) {
+    *final_ids = std::move(final_id_array).TakeStored();
+  }
   return Status::Ok();
 }
 

@@ -15,8 +15,6 @@ StripePlan StripePlan::ForN(size_t n) {
   return plan;
 }
 
-size_t LsdArenaCapacity(size_t n) { return n; }
-
 void RunStripes(ThreadPool* pool, bool concurrent_ok, size_t count,
                 const std::function<void(size_t)>& fn) {
   if (pool != nullptr && concurrent_ok && count > 1) {
@@ -69,11 +67,6 @@ size_t BucketQueues::DrainTo(approx::ApproxArrayU32& keys,
     }
   }
   return out - out_base;
-}
-
-void BucketQueues::Reset() {
-  for (auto& bucket : positions_) bucket.clear();
-  next_ = arena_base_;
 }
 
 }  // namespace approxmem::sort

@@ -51,13 +51,6 @@ struct StripePlan {
   size_t End(size_t stripe) const { return (stripe + 1) * n / count; }
 };
 
-/// Arena words needed by one LSD scatter pass over `n` elements: the
-/// per-(bucket, stripe) windows tile [0, n) exactly, so both the key and
-/// the id arena need exactly n words. (The legacy chunked free-list layout
-/// rounded up to `buckets` extra chunks, and allocated the same slack a
-/// second time for the id arena.)
-size_t LsdArenaCapacity(size_t n);
-
 /// Runs fn(stripe) for stripes [0, count): concurrently on `pool` when
 /// `concurrent_ok` and a multi-thread pool is given, serially in stripe
 /// order otherwise. Callers decompose the work so both schedules give
@@ -127,9 +120,6 @@ class BucketQueues {
     return positions_[bucket].size();
   }
   size_t TotalPushed() const { return next_ - arena_base_; }
-
-  /// Clears all queues and resets the bump pointer (arena reuse per pass).
-  void Reset();
 
  private:
   approx::ApproxArrayU32* key_arena_;

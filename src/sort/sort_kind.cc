@@ -4,7 +4,6 @@
 
 #include "sort/mergesort.h"
 #include "sort/quicksort.h"
-#include "sort/radix_histogram.h"
 #include "sort/radix_lsd.h"
 #include "sort/radix_msd.h"
 #include "sort/sort_common.h"

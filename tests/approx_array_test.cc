@@ -146,7 +146,7 @@ TEST(ApproxArrayTest, ConcurrentShardsKeepDeviationFlags) {
   const auto run = [&](ThreadPool* pool) {
     ApproxMemory memory(DefaultOptions());
     ApproxArrayU32 array = memory.NewApproxArray(kN, 0.12);
-    EXPECT_TRUE(array.ConcurrentShardSafe());
+    EXPECT_TRUE(array.unobserved());
     std::vector<ApproxArrayU32::Shard> plan = array.MakeShards(shards);
     const auto drive = [&](size_t s) {
       const size_t begin = bounds[s];
@@ -362,7 +362,7 @@ AccessRun RunAccessSequence(const std::string& backend, double discount,
   ApproxArrayU32 copy = memory.NewPreciseArray(kN);
   ApproxArrayU32 approx_keys =
       memory.NewApproxArray(kN, memory.backend().default_approx_knob());
-  EXPECT_EQ(keys.ConcurrentShardSafe(), hook == nullptr);
+  EXPECT_EQ(keys.unobserved(), hook == nullptr);
   Rng rng(21);
   std::vector<uint32_t> words(kN);
   for (uint32_t& w : words) w = rng.NextU32();
@@ -469,7 +469,7 @@ TEST(ApproxArrayTest, ConcurrentPlainShardsMatchSerial) {
     ApproxMemory memory(options);
     ApproxArrayU32 keys = memory.NewPreciseArray(kN);
     ApproxArrayU32 ids = memory.NewPreciseArray(kN);
-    EXPECT_TRUE(keys.ConcurrentShardSafe());
+    EXPECT_TRUE(keys.unobserved());
     auto key_plan = keys.MakeShards(shards);
     auto id_plan = ids.MakeShards(shards);
     std::vector<uint32_t> reads(kN);

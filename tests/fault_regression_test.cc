@@ -11,7 +11,7 @@
 // an internal CHECK instead of failing verification.
 //
 // The fix diverts colliding scatter writes to the slots left unclaimed at
-// the end of the pass (radix_histogram.cc) and makes the refine merge
+// the end of the pass (radix_msd.cc) and makes the refine merge
 // clamp its writes and fail verification gracefully (approx_refine.cc).
 #include <gtest/gtest.h>
 

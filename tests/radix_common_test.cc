@@ -75,15 +75,6 @@ TEST(StripePlanTest, SmallInputsStaySerial) {
   EXPECT_EQ(StripePlan::ForN(4 * StripePlan::kMinStripeElements).count, 4u);
 }
 
-TEST(LsdArenaCapacityTest, ArenaIsExactlyN) {
-  // The scatter windows tile [0, n) exactly; the pre-stripe implementation
-  // rounded every bucket up to a chunk multiple, overallocating the arena
-  // (doubly so with IDs). Pin the exact sizing.
-  for (const size_t n : {0u, 1u, 63u, 64u, 1000u, 4096u, 123456u}) {
-    EXPECT_EQ(LsdArenaCapacity(n), n);
-  }
-}
-
 class BucketQueuesTest : public ::testing::Test {
  protected:
   BucketQueuesTest() : memory_(MakeOptions()) {}
@@ -145,22 +136,6 @@ TEST_F(BucketQueuesTest, CarriesIdsAlongside) {
   EXPECT_EQ(out_ids.PeekActual(1), 7u);
   EXPECT_EQ(out_keys.PeekActual(2), 101u);
   EXPECT_EQ(out_ids.PeekActual(2), 9u);
-}
-
-TEST_F(BucketQueuesTest, ResetReusesArena) {
-  approx::ApproxArrayU32 arena = memory_.NewPreciseArray(2);
-  approx::ApproxArrayU32 out = memory_.NewPreciseArray(2);
-  BucketQueues queues(2, &arena, nullptr);
-  queues.Push(0, 1, 0);
-  queues.Push(1, 2, 0);
-  queues.DrainTo(out, nullptr, 0);
-  queues.Reset();
-  EXPECT_EQ(queues.TotalPushed(), 0u);
-  queues.Push(1, 3, 0);
-  queues.Push(0, 4, 0);
-  queues.DrainTo(out, nullptr, 0);
-  EXPECT_EQ(out.PeekActual(0), 4u);
-  EXPECT_EQ(out.PeekActual(1), 3u);
 }
 
 TEST_F(BucketQueuesTest, ArenaBaseOffsetsSegments) {

@@ -9,7 +9,6 @@
 #include "approx/approx_memory.h"
 #include "common/random.h"
 #include "refine/cost_model.h"
-#include "sort/radix_histogram.h"
 #include "sort/radix_lsd.h"
 #include "sort/radix_msd.h"
 
