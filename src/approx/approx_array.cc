@@ -10,32 +10,22 @@ ApproxArrayU32::ApproxArrayU32(size_t n, WriteModel* model, Rng rng,
                                uint64_t base_address,
                                double sequential_write_discount,
                                MemoryFaultHook* fault_hook,
-                               mem::MemorySystem* device)
+                               mem::MemorySystem* device,
+                               const PreciseCosts& precise)
     : actual_(n, 0),
       model_(model),
       rng_(rng),
       fault_hook_(fault_hook),
       device_(device),
       base_address_(base_address),
-      read_cost_(model != nullptr ? model->ReadCost() : 0.0),
+      read_cost_(model != nullptr ? model->ReadCost() : precise.read),
       seq_discount_(sequential_write_discount),
-      precise_(model == nullptr || model->IsPrecise()),
+      precise_write_(precise.write),
+      precise_pv_(precise.pv),
       plain_reads_(fault_hook == nullptr && device == nullptr),
-      plain_(fault_hook == nullptr && precise_ && model != nullptr),
+      plain_(fault_hook == nullptr && model == nullptr),
       last_written_(static_cast<size_t>(-1)) {
-  // A null model is only legal for empty placeholder arrays.
-  APPROXMEM_CHECK(model != nullptr || n == 0);
-  if (!precise_ || fault_hook_ != nullptr) deviating_.assign(n, 0);
-  if (plain_) {
-    // A precise model's outcome does not depend on the value and draws
-    // nothing, so one probe on a copy of the stream fixes every write's.
-    // The probe checks the parts of that contract one write can show.
-    Rng probe = rng_;
-    const WordWriteOutcome outcome = model_->Write(0, probe);
-    APPROXMEM_CHECK(outcome.stored == 0 && probe == rng_);
-    plain_cost_ = outcome.cost;
-    plain_pv_ = outcome.pv_iterations;
-  }
+  if (!plain_) deviating_.assign(n, 0);
 }
 
 ApproxArrayU32::~ApproxArrayU32() { FlushStats(); }
@@ -50,11 +40,10 @@ ApproxArrayU32::ApproxArrayU32(ApproxArrayU32&& other) noexcept
       base_address_(other.base_address_),
       read_cost_(other.read_cost_),
       seq_discount_(other.seq_discount_),
-      precise_(other.precise_),
+      precise_write_(other.precise_write_),
+      precise_pv_(other.precise_pv_),
       plain_reads_(other.plain_reads_),
       plain_(other.plain_),
-      plain_cost_(other.plain_cost_),
-      plain_pv_(other.plain_pv_),
       last_written_(other.last_written_),
       stats_(other.stats_),
       stats_sink_(other.stats_sink_) {
@@ -75,11 +64,10 @@ ApproxArrayU32& ApproxArrayU32::operator=(ApproxArrayU32&& other) noexcept {
     base_address_ = other.base_address_;
     read_cost_ = other.read_cost_;
     seq_discount_ = other.seq_discount_;
-    precise_ = other.precise_;
+    precise_write_ = other.precise_write_;
+    precise_pv_ = other.precise_pv_;
     plain_reads_ = other.plain_reads_;
     plain_ = other.plain_;
-    plain_cost_ = other.plain_cost_;
-    plain_pv_ = other.plain_pv_;
     last_written_ = other.last_written_;
     stats_ = other.stats_;
     stats_sink_ = other.stats_sink_;
@@ -93,45 +81,35 @@ void ApproxArrayU32::SetRangeImpl(size_t start, const uint32_t* values,
                                   size_t count, Rng& rng, MemoryStats& stats,
                                   size_t& last_written) {
   APPROXMEM_CHECK(start + count <= actual_.size());
-  if (plain_) {
-    std::copy(values, values + count, actual_.begin() + start);
-    if (count == 0) return;
-    // On a local ledger the compiler can keep in registers. A device
-    // charges each word at its address; otherwise the first word keeps
-    // the cross-call sequential rule and the rest are sequential words of
-    // one fixed cost, summed exactly by AddRepeated.
-    MemoryStats ledger = stats;
-    size_t last = last_written;
-    if (device_ != nullptr) {
-      for (size_t i = start; i < start + count; ++i) {
-        Accrue(i, ChargeWrite(i, plain_cost_), plain_pv_, ledger, last);
-      }
-    } else {
-      Accrue(start, plain_cost_, plain_pv_, ledger, last);
-      const size_t rest = count - 1;
-      ledger.word_writes += rest;
-      ledger.sequential_writes += rest;
-      ledger.write_cost =
-          AddRepeated(ledger.write_cost, plain_cost_ * seq_discount_, rest);
-      ledger.pv_iterations = AddRepeated(ledger.pv_iterations, plain_pv_, rest);
-      last = start + count - 1;
-    }
-    stats = ledger;
-    last_written = last;
-    return;
-  }
-  // A local ledger and cursor, as above: a store to deviating_ may alias
-  // the caller's ledger and would force it through memory on every word.
+  if (count == 0) return;
+  // A local ledger and cursor the compiler can keep in registers: a store
+  // to deviating_ may alias the caller's ledger and would force it through
+  // memory on every word.
   MemoryStats ledger = stats;
   size_t last = last_written;
-  constexpr size_t kChunkWords = 64;
-  WordWriteOutcome outcomes[kChunkWords];
-  for (size_t done = 0; done < count; done += kChunkWords) {
-    const size_t chunk = std::min(count - done, kChunkWords);
-    model_->WriteBatch(values + done, chunk, rng, outcomes);
-    for (size_t k = 0; k < chunk; ++k) {
-      ApplyWrite(start + done + k, values[done + k], outcomes[k], ledger,
-                 last);
+  if (plain_ && device_ == nullptr) {
+    // Nothing observes the words: store them, then charge the first word
+    // with the cross-call sequential rule and the rest as sequential words
+    // of one fixed cost, summed exactly by AddRepeated.
+    std::copy(values, values + count, actual_.begin() + start);
+    Accrue(start, precise_write_, precise_pv_, ledger, last);
+    const size_t rest = count - 1;
+    ledger.word_writes += rest;
+    ledger.sequential_writes += rest;
+    ledger.write_cost =
+        AddRepeated(ledger.write_cost, precise_write_ * seq_discount_, rest);
+    ledger.pv_iterations = AddRepeated(ledger.pv_iterations, precise_pv_, rest);
+    last = start + count - 1;
+  } else {
+    constexpr size_t kChunkWords = 64;
+    WordWriteOutcome outcomes[kChunkWords];
+    for (size_t done = 0; done < count; done += kChunkWords) {
+      const size_t chunk = std::min(count - done, kChunkWords);
+      Outcomes(values + done, chunk, rng, outcomes);
+      for (size_t k = 0; k < chunk; ++k) {
+        ApplyWrite(start + done + k, values[done + k], outcomes[k], ledger,
+                   last);
+      }
     }
   }
   stats = ledger;
@@ -150,39 +128,35 @@ void ApproxArrayU32::Shard::ScatterPaired(const size_t* dest,
     APPROXMEM_CHECK(dest[k] < keys.size() &&
                     (id_array == nullptr || dest[k] < id_array->size()));
   }
-  // Each array draws from its own stream, so batching per array leaves
-  // every draw where the interleaved loop puts it. Plain arrays skip the
-  // model.
-  WordWriteOutcome key_outcomes[kScatterBlock];
-  WordWriteOutcome id_outcomes[kScatterBlock];
-  if (!keys.plain_) {
-    keys.model_->WriteBatch(key_values, count, rng_, key_outcomes);
-  }
-  if (ids != nullptr && !id_array->plain_) {
-    id_array->model_->WriteBatch(id_values, count, ids->rng_, id_outcomes);
-  }
+  // Each array draws from its own stream, so applying or batching per
+  // array leaves every draw where the interleaved loop puts it.
   if (keys.plain_reads_ && (ids == nullptr || id_array->plain_reads_)) {
     // Nothing observes the order across the two arrays.
-    keys.ApplyScatter(dest, key_values, key_outcomes, count, stats_,
-                      last_written_);
+    keys.ApplyScatter(dest, key_values, count, rng_, stats_, last_written_);
     if (ids != nullptr) {
-      id_array->ApplyScatter(dest, id_values, id_outcomes, count,
-                             ids->stats_, ids->last_written_);
+      id_array->ApplyScatter(dest, id_values, count, ids->rng_, ids->stats_,
+                             ids->last_written_);
     }
     return;
   }
   // A hook or a banked device shared by both arrays must see the
   // interleaved loop's order: element by element, key before id.
+  WordWriteOutcome key_outcomes[kScatterBlock];
+  WordWriteOutcome id_outcomes[kScatterBlock];
+  keys.Outcomes(key_values, count, rng_, key_outcomes);
+  if (ids != nullptr) {
+    id_array->Outcomes(id_values, count, ids->rng_, id_outcomes);
+  }
   MemoryStats key_ledger = stats_;
   size_t key_last = last_written_;
   MemoryStats id_ledger = ids != nullptr ? ids->stats_ : MemoryStats{};
   size_t id_last = ids != nullptr ? ids->last_written_ : 0;
   for (size_t k = 0; k < count; ++k) {
-    keys.ScatterWrite(dest[k], key_values[k], key_outcomes[k], key_ledger,
-                      key_last);
+    keys.ApplyWrite(dest[k], key_values[k], key_outcomes[k], key_ledger,
+                    key_last);
     if (ids != nullptr) {
-      id_array->ScatterWrite(dest[k], id_values[k], id_outcomes[k],
-                             id_ledger, id_last);
+      id_array->ApplyWrite(dest[k], id_values[k], id_outcomes[k], id_ledger,
+                           id_last);
     }
   }
   stats_ = key_ledger;
@@ -194,17 +168,12 @@ void ApproxArrayU32::Shard::ScatterPaired(const size_t* dest,
 }
 
 void ApproxArrayU32::ApplyScatter(const size_t* dest, const uint32_t* values,
-                                  const WordWriteOutcome* outcomes,
-                                  size_t count, MemoryStats& stats,
+                                  size_t count, Rng& rng, MemoryStats& stats,
                                   size_t& last_written) {
   MemoryStats ledger = stats;
   size_t last = last_written;
-  if (!plain_ || seq_discount_ != 1.0) {
-    for (size_t k = 0; k < count; ++k) {
-      ScatterWrite(dest[k], values[k], outcomes[k], ledger, last);
-    }
-  } else {
-    // Undiscounted plain words all cost the same, sequential or not.
+  if (plain_ && seq_discount_ == 1.0) {
+    // Undiscounted precise words all cost the same, sequential or not.
     uint64_t sequential = 0;
     for (size_t k = 0; k < count; ++k) {
       actual_[dest[k]] = values[k];
@@ -213,8 +182,15 @@ void ApproxArrayU32::ApplyScatter(const size_t* dest, const uint32_t* values,
     }
     ledger.word_writes += count;
     ledger.sequential_writes += sequential;
-    ledger.write_cost = AddRepeated(ledger.write_cost, plain_cost_, count);
-    ledger.pv_iterations = AddRepeated(ledger.pv_iterations, plain_pv_, count);
+    ledger.write_cost = AddRepeated(ledger.write_cost, precise_write_, count);
+    ledger.pv_iterations =
+        AddRepeated(ledger.pv_iterations, precise_pv_, count);
+  } else {
+    WordWriteOutcome outcomes[kScatterBlock];
+    Outcomes(values, count, rng, outcomes);
+    for (size_t k = 0; k < count; ++k) {
+      ApplyWrite(dest[k], values[k], outcomes[k], ledger, last);
+    }
   }
   stats = ledger;
   last_written = last;

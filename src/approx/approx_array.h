@@ -23,18 +23,21 @@
 
 namespace approxmem::approx {
 
-/// A fixed-size array of 32-bit words stored through a WriteModel.
+/// A fixed-size array of 32-bit words stored through a WriteModel, or
+/// precisely when the model is null.
 ///
 /// The array does not own its WriteModel (ApproxMemory does); it owns its
 /// own RNG stream so results do not depend on operation interleaving across
 /// arrays. Move-only.
 class ApproxArrayU32 {
  public:
-  /// Element i lives at byte address `base_address` + 4i. `device`, when
-  /// set (the banked backend's Table 1 memory system, shared by every
-  /// array of one ApproxMemory), sees each access at that address and
-  /// charges it: a read books the device's latency instead of the model's
-  /// flat read cost, and a write books its outcome cost plus the stall its
+  /// A null `model` makes a precise array: every write stores its value at
+  /// the `precise` costs and draws nothing (with the default costs, a free
+  /// placeholder). Element i lives at byte address `base_address` + 4i.
+  /// `device`, when set (the banked backend's Table 1 memory system, shared
+  /// by every array of one ApproxMemory), sees each access at that address
+  /// and charges it: a read books the device's latency instead of the flat
+  /// read cost, and a write books its outcome cost plus the stall its
   /// posting caused. `sequential_write_discount` scales the cost of a write
   /// that lands at (last written index + 1) — the sequential-vs-random PCM
   /// write asymmetry the paper's Section 5 discussion calls for (1.0
@@ -45,7 +48,8 @@ class ApproxArrayU32 {
                  uint64_t base_address = 0,
                  double sequential_write_discount = 1.0,
                  MemoryFaultHook* fault_hook = nullptr,
-                 mem::MemorySystem* device = nullptr);
+                 mem::MemorySystem* device = nullptr,
+                 const PreciseCosts& precise = {});
   ~ApproxArrayU32();
 
   ApproxArrayU32(ApproxArrayU32&& other) noexcept;
@@ -66,8 +70,9 @@ class ApproxArrayU32 {
 
   /// Writes values[0, count) to elements [start, start + count): one
   /// simulated write per element, driven through the model's WriteBatch
-  /// kernel (bit-identical to the equivalent Set loop, including the
-  /// sequential-write discount and the RNG draw sequence).
+  /// kernel on an approximate array (bit-identical to the equivalent Set
+  /// loop, including the sequential-write discount and the RNG draw
+  /// sequence).
   void SetRange(size_t start, const uint32_t* values, size_t count) {
     SetRangeImpl(start, values, count, rng_, stats_, last_written_);
   }
@@ -122,7 +127,7 @@ class ApproxArrayU32 {
     /// array. Bit-identical to the loop
     ///   for k: Set(dest[k], key_values[k]); ids->Set(dest[k], id_values[k]);
     /// — stored values, ledgers, RNG states, and the order of fault-hook
-    /// calls and device charges — but each array's model runs
+    /// calls and device charges — but each approximate array's model runs
     /// one WriteBatch over the block, and when neither array has a hook
     /// or a device each applies its side in a loop of its own.
     void ScatterPaired(const size_t* dest, const uint32_t* key_values,
@@ -138,6 +143,8 @@ class ApproxArrayU32 {
     void GatherPaired(size_t start, uint32_t* key_out, Shard* ids,
                       uint32_t* id_out, size_t count);
     const MemoryStats& stats() const { return stats_; }
+    /// This shard's RNG substream.
+    const Rng& rng() const { return rng_; }
 
    private:
     friend class ApproxArrayU32;
@@ -214,7 +221,10 @@ class ApproxArrayU32 {
   void FlushStats();
 
   uint64_t base_address() const { return base_address_; }
-  bool precise() const { return precise_; }
+  bool precise() const { return model_ == nullptr; }
+  /// The array's own RNG stream: where its next approximate write, or its
+  /// next MakeShards split, draws from.
+  const Rng& rng() const { return rng_; }
 
  private:
   // Shared access paths: the public Get/Set/SetRange/GetRange and every
@@ -228,7 +238,7 @@ class ApproxArrayU32 {
                            : read_cost_;
     uint32_t value = actual_[i];
     if (fault_hook_ != nullptr) {
-      value = fault_hook_->OnRead(base_address_ + i * 4u, precise_, value);
+      value = fault_hook_->OnRead(base_address_ + i * 4u, precise(), value);
     }
     return value;
   }
@@ -236,11 +246,31 @@ class ApproxArrayU32 {
   void SetImpl(size_t i, uint32_t value, Rng& rng, MemoryStats& stats,
                size_t& last_written) {
     APPROXMEM_CHECK(i < actual_.size());
-    if (plain_) {
-      PlainWrite(i, value, stats, last_written);
-      return;
+    // plain_ implies a null model; testing it first lets the compiler fold
+    // ApplyWrite's own test on a plain array.
+    ApplyWrite(i, value,
+               plain_ || model_ == nullptr ? PreciseOutcome(value)
+                                           : model_->Write(value, rng),
+               stats, last_written);
+  }
+
+  // What a precise write of `value` does.
+  WordWriteOutcome PreciseOutcome(uint32_t value) const {
+    return WordWriteOutcome{value, precise_write_, precise_pv_};
+  }
+
+  // The outcomes of writing values[0, count) in order: the model's batch on
+  // an approximate array, the precise outcome on a hooked precise one. A
+  // plain array's are left unset: ApplyWrite does not read them.
+  void Outcomes(const uint32_t* values, size_t count, Rng& rng,
+                WordWriteOutcome* outcomes) const {
+    if (model_ != nullptr) {
+      model_->WriteBatch(values, count, rng, outcomes);
+    } else if (!plain_) {
+      for (size_t k = 0; k < count; ++k) {
+        outcomes[k] = PreciseOutcome(values[k]);
+      }
     }
-    ApplyWrite(i, value, model_->Write(value, rng), stats, last_written);
   }
 
   // The cost to book for a write of `cost` to element `i`: a device
@@ -251,24 +281,29 @@ class ApproxArrayU32 {
                : cost;
   }
 
-  // Post-model bookkeeping shared by the scalar and batched write paths:
-  // the address charge, fault-hook observation, value stores, and stats
-  // accrual (in the same order and floating-point order either way).
+  // The one per-word writer, shared by the scalar, batched and scatter
+  // paths: the address charge, fault-hook observation, value store, and
+  // stats accrual (in the same order and floating-point order either way).
+  // `outcome` is what the write stored and cost before any hook: the
+  // model's, or the precise constant's. A plain array's word is always the
+  // precise constant, so its `outcome` is not read.
   void ApplyWrite(size_t i, uint32_t value, const WordWriteOutcome& outcome,
                   MemoryStats& stats, size_t& last_written) {
+    if (plain_) {
+      actual_[i] = value;
+      Accrue(i, ChargeWrite(i, precise_write_), precise_pv_, stats,
+             last_written);
+      return;
+    }
     const double cost = ChargeWrite(i, outcome.cost);
     uint32_t stored = outcome.stored;
     if (fault_hook_ != nullptr) {
-      stored = fault_hook_->OnWrite(base_address_ + i * 4u, precise_, value,
+      stored = fault_hook_->OnWrite(base_address_ + i * 4u, precise(), value,
                                     stored);
     }
     actual_[i] = stored;
     const bool deviated = stored != value;
-    if (!deviating_.empty()) {
-      deviating_[i] = deviated;
-    } else {
-      APPROXMEM_CHECK(!deviated);  // Precise models store what they write.
-    }
+    deviating_[i] = deviated;
     Accrue(i, cost, outcome.pv_iterations, stats, last_written);
     if (deviated) ++stats.corrupted_writes;
   }
@@ -287,24 +322,6 @@ class ApproxArrayU32 {
     last_written = i;
   }
 
-  // Plain-path write: the value is stored as given and the model's fixed
-  // outcome charged, exactly as Write() plus ApplyWrite() would.
-  void PlainWrite(size_t i, uint32_t value, MemoryStats& stats,
-                  size_t& last_written) {
-    actual_[i] = value;
-    Accrue(i, ChargeWrite(i, plain_cost_), plain_pv_, stats, last_written);
-  }
-
-  // One element of a paired scatter; `outcome` is unused on plain arrays.
-  void ScatterWrite(size_t i, uint32_t value, const WordWriteOutcome& outcome,
-                    MemoryStats& stats, size_t& last_written) {
-    if (plain_) {
-      PlainWrite(i, value, stats, last_written);
-    } else {
-      ApplyWrite(i, value, outcome, stats, last_written);
-    }
-  }
-
   void GetRangeImpl(size_t start, uint32_t* out, size_t count,
                     MemoryStats& stats);
 
@@ -312,20 +329,20 @@ class ApproxArrayU32 {
   void ChargeUnobservedReads(size_t count, MemoryStats& stats) const;
 
   // One array's side of an unobserved ScatterPaired: writes values[k] to
-  // element dest[k], with outcomes[k] for a non-plain array, in order.
-  void ApplyScatter(const size_t* dest, const uint32_t* values,
-                    const WordWriteOutcome* outcomes, size_t count,
-                    MemoryStats& stats, size_t& last_written);
+  // element dest[k], in order, drawing from `rng`.
+  void ApplyScatter(const size_t* dest, const uint32_t* values, size_t count,
+                    Rng& rng, MemoryStats& stats, size_t& last_written);
 
   void SetRangeImpl(size_t start, const uint32_t* values, size_t count,
                     Rng& rng, MemoryStats& stats, size_t& last_written);
 
   std::vector<uint32_t> actual_;
   // One flag per element, set when its last write stored a value other than
-  // the one written. Empty when no store can deviate (a precise model and no
-  // fault hook). A byte, not a packed bit: shards write disjoint elements
-  // concurrently, and neighbouring elements must not share a word.
+  // the one written. Empty on a plain array, where no store can deviate. A
+  // byte, not a packed bit: shards write disjoint elements concurrently,
+  // and neighbouring elements must not share a word.
   std::vector<uint8_t> deviating_;
+  // Null for a precise array.
   WriteModel* model_;
   Rng rng_;
   MemoryFaultHook* fault_hook_;
@@ -333,20 +350,15 @@ class ApproxArrayU32 {
   uint64_t base_address_;
   double read_cost_;
   double seq_discount_;
-  // Cached model_->IsPrecise() (true for empty placeholder arrays); lets
-  // Get/Set report the precision domain to the fault hook without a
-  // virtual call per access.
-  bool precise_;
+  // A precise array's write cost and #P per word.
+  double precise_write_;
+  double precise_pv_;
   // Set when no access is observed from outside (no fault hook, no
   // device): a read is then a copy plus a fixed cost.
   bool plain_reads_;
-  // No fault hook on a precise model: a write is then a store plus the
-  // model's fixed outcome (plain_cost_, plain_pv_), read once at
-  // construction, charged through ChargeWrite, and never calls Write()
-  // (see write_model.h).
+  // A precise array with no fault hook: a write is then a store plus the
+  // fixed precise outcome, and a block of writes can be charged at once.
   bool plain_;
-  double plain_cost_ = 0.0;
-  double plain_pv_ = 0.0;
   // Index of the most recent write; SIZE_MAX means "none yet", so the very
   // first write is never treated as sequential.
   size_t last_written_;

@@ -46,13 +46,15 @@ void ApproxMemory::BeginJobStream(uint64_t stream_key) {
 }
 
 ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
+                                           const PreciseCosts& precise,
                                            double model_word_error_rate) {
   const uint64_t span = ((n * 4 + 4095) / 4096 + 1) * 4096;
   // Canaries and data alike reach the backend's device, if it has one.
   const auto make_array = [&](size_t words, uint64_t base) {
     return ApproxArrayU32(words, model, rng_.Split(), base,
                           options_.sequential_write_discount,
-                          options_.fault_hook, backend_->cost_system());
+                          options_.fault_hook, backend_->cost_system(),
+                          precise);
   };
   const auto place = [&]() {
     if (options_.placement != nullptr) {
@@ -108,7 +110,9 @@ ApproxArrayU32 ApproxMemory::Allocate(const AllocSpec& spec) {
   // monitoring is off also skips any calibration it would trigger.
   const double model_word_error_rate =
       health_.enabled() ? backend_->ModelWordErrorRate(spec) : 0.0;
-  return AllocateArray(spec.n, *model, model_word_error_rate);
+  const PreciseCosts precise =
+      *model == nullptr ? backend_->precise_costs() : PreciseCosts{};
+  return AllocateArray(spec.n, *model, precise, model_word_error_rate);
 }
 
 ApproxArrayU32 ApproxMemory::NewPreciseArray(size_t n) {

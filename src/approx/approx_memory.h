@@ -135,12 +135,14 @@ class ApproxMemory {
   const HealthMonitor& health() const { return health_; }
 
  private:
-  /// Hands out an array over the next healthy address region. With
+  /// Hands out an array over the next healthy address region, storing
+  /// through `model`, or at `precise` costs when `model` is null. With
   /// monitoring disabled this is plain bump allocation; with it enabled,
   /// candidate regions are canary-probed against `model_word_error_rate`
   /// and quarantined/skipped (with exponentially growing stride) when the
   /// observed rate breaches the threshold.
   ApproxArrayU32 AllocateArray(size_t n, WriteModel* model,
+                               const PreciseCosts& precise,
                                double model_word_error_rate);
 
   Options options_;

@@ -4,12 +4,13 @@
 // the device sees every array access, in program order, as it happens.
 //
 // Error injection, #P accounting and per-write service latency come from
-// the same calibrated models as "mlc-pcm": this backend hands out the inner
-// backend's models unchanged. The *charged* costs become address-dependent
-// because ApproxMemory passes cost_system() to every array it builds, and
-// the array charges each access there — a read that hits L1 costs its L1
-// latency instead of the flat PCM read latency, and a write additionally
-// pays any CPU stall it incurs behind a full bank write queue. All arrays
+// the same precise costs and calibrated models as "mlc-pcm": this backend
+// hands out the inner backend's unchanged. The *charged* costs become
+// address-dependent because ApproxMemory passes cost_system() to every
+// array it builds, and the array charges each access there — a read that
+// hits L1 costs its L1 latency instead of the flat PCM read latency, and a
+// write additionally pays any CPU stall it incurs behind a full bank write
+// queue. All arrays
 // of one ApproxMemory share one MemorySystem, so bank contention across
 // arrays is modeled.
 //
@@ -20,7 +21,6 @@
 #include <memory>
 
 #include "approx/memory_backend.h"
-#include "approx/write_model.h"
 #include "mem/memory_system.h"
 
 namespace approxmem::approx {
@@ -43,6 +43,8 @@ class BankedPcmBackend final : public MemoryBackend {
   StatusOr<WriteModel*> ModelFor(const AllocSpec& spec) override {
     return inner_->ModelFor(spec);
   }
+
+  PreciseCosts precise_costs() override { return inner_->precise_costs(); }
 
   double ModelWordErrorRate(const AllocSpec& spec) override {
     return inner_->ModelWordErrorRate(spec);

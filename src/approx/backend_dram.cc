@@ -1,7 +1,7 @@
 // The "dram-precise" backend: an error-free constant-latency baseline.
 //
-// Every allocation — precise or approximate — is served by the same exact
-// model at DRAM-class latencies, so pipelines run end to end with zero
+// Every allocation — precise or approximate — is served precisely at
+// DRAM-class latencies, so pipelines run end to end with zero
 // injected errors and a write-cost ratio of 1. Useful as a control: any
 // "write reduction" it reports is pure pipeline overhead, and any
 // corruption seen on it comes from the workload or a fault hook, never
@@ -9,23 +9,12 @@
 #include <memory>
 
 #include "approx/memory_backend.h"
-#include "approx/write_model.h"
 
 namespace approxmem::approx {
 namespace {
 
 /// Table 1 lists DRAM at a flat 50 ns access latency for reads and writes.
 constexpr double kDramAccessNs = 50.0;
-
-class DramWriteModel final : public WriteModel {
- public:
-  WordWriteOutcome Write(uint32_t intended, Rng& /*rng*/) override {
-    return WordWriteOutcome{intended, kDramAccessNs, 0.0};
-  }
-  double ReadCost() const override { return kDramAccessNs; }
-  std::string_view CostUnit() const override { return "ns"; }
-  bool IsPrecise() const override { return true; }
-};
 
 class DramPreciseBackend final : public MemoryBackend {
  public:
@@ -39,7 +28,11 @@ class DramPreciseBackend final : public MemoryBackend {
   }
 
   StatusOr<WriteModel*> ModelFor(const AllocSpec& /*spec*/) override {
-    return &model_;
+    return nullptr;
+  }
+
+  PreciseCosts precise_costs() override {
+    return PreciseCosts{kDramAccessNs, 0.0, kDramAccessNs};
   }
 
   double ModelWordErrorRate(const AllocSpec& /*spec*/) override {
@@ -51,9 +44,6 @@ class DramPreciseBackend final : public MemoryBackend {
   double default_approx_knob() const override { return 0.0; }
   double min_knob() const override { return 0.0; }
   double precise_knob() const override { return 0.0; }
-
- private:
-  DramWriteModel model_;
 };
 
 }  // namespace

@@ -5,6 +5,7 @@
 // the precise configuration, anchored at the Table 1 precise write latency.
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,27 +18,6 @@
 
 namespace approxmem::approx {
 namespace {
-
-/// Precise PCM: identity stores at the Table 1 write latency (1 us).
-class PrecisePcmWriteModel final : public WriteModel {
- public:
-  PrecisePcmWriteModel(const mlc::MlcConfig& config, double precise_avg_pv)
-      : write_latency_ns_(config.precise_write_latency_ns),
-        read_latency_ns_(config.read_latency_ns),
-        pv_per_word_(precise_avg_pv * config.CellsPerWord()) {}
-
-  WordWriteOutcome Write(uint32_t intended, Rng& /*rng*/) override {
-    return WordWriteOutcome{intended, write_latency_ns_, pv_per_word_};
-  }
-  double ReadCost() const override { return read_latency_ns_; }
-  std::string_view CostUnit() const override { return "ns"; }
-  bool IsPrecise() const override { return true; }
-
- private:
-  double write_latency_ns_;
-  double read_latency_ns_;
-  double pv_per_word_;
-};
 
 /// Approximate PCM, exact path: full per-cell program-and-verify loops.
 class ExactPcmWriteModel final : public WriteModel {
@@ -68,8 +48,6 @@ class ExactPcmWriteModel final : public WriteModel {
     return outcome;
   }
   double ReadCost() const override { return config_.read_latency_ns; }
-  std::string_view CostUnit() const override { return "ns"; }
-  bool IsPrecise() const override { return false; }
 
  private:
   mlc::MlcConfig config_;
@@ -134,8 +112,6 @@ class FastPcmWriteModel final : public WriteModel {
   }
 
   double ReadCost() const override { return config_.read_latency_ns; }
-  std::string_view CostUnit() const override { return "ns"; }
-  bool IsPrecise() const override { return false; }
 
  private:
   // Samples the stored word conditioned on at least one cell erring.
@@ -208,10 +184,24 @@ class PcmBackend final : public MemoryBackend {
   }
 
   StatusOr<WriteModel*> ModelFor(const AllocSpec& spec) override {
-    if (spec.domain == AllocSpec::Domain::kPrecise) return PreciseModel();
+    if (spec.domain == AllocSpec::Domain::kPrecise) return nullptr;
     const Status status = mlc_.WithT(spec.knob).Validate();
     if (!status.ok()) return status;
     return ApproxModelForT(spec.knob);
+  }
+
+  /// Identity stores at the Table 1 write latency (1 us), spending the
+  /// precise T's calibrated avg #P in every cell. Calibrates the precise T
+  /// on first use.
+  PreciseCosts precise_costs() override {
+    if (!precise_costs_) {
+      precise_costs_ = PreciseCosts{
+          mlc_.precise_write_latency_ns,
+          calibration_->ForT(mlc_.precise_t_width).AvgPv() *
+              mlc_.CellsPerWord(),
+          mlc_.read_latency_ns};
+    }
+    return *precise_costs_;
   }
 
   double ModelWordErrorRate(const AllocSpec& spec) override {
@@ -231,16 +221,6 @@ class PcmBackend final : public MemoryBackend {
   double precise_knob() const override { return mlc_.precise_t_width; }
 
  private:
-  WriteModel* PreciseModel() {
-    if (precise_model_ == nullptr) {
-      const double precise_avg_pv =
-          calibration_->ForT(mlc_.precise_t_width).AvgPv();
-      precise_model_ =
-          std::make_unique<PrecisePcmWriteModel>(mlc_, precise_avg_pv);
-    }
-    return precise_model_.get();
-  }
-
   WriteModel* ApproxModelForT(double t) {
     for (auto& [existing_t, model] : approx_models_) {
       if (existing_t == t) return model.get();
@@ -264,7 +244,7 @@ class PcmBackend final : public MemoryBackend {
   mlc::MlcConfig mlc_;
   SimulationMode mode_;
   std::shared_ptr<mlc::CalibrationCache> calibration_;
-  std::unique_ptr<WriteModel> precise_model_;
+  std::optional<PreciseCosts> precise_costs_;
   std::vector<std::pair<double, std::unique_ptr<WriteModel>>> approx_models_;
 };
 

@@ -69,13 +69,7 @@ class SpintronicBackend final : public MemoryBackend {
   }
 
   StatusOr<WriteModel*> ModelFor(const AllocSpec& spec) override {
-    if (spec.domain == AllocSpec::Domain::kPrecise) {
-      if (precise_model_ == nullptr) {
-        precise_model_ = std::make_unique<PreciseSpintronicWriteModel>(
-            SpintronicConfig{});
-      }
-      return precise_model_.get();
-    }
+    if (spec.domain == AllocSpec::Domain::kPrecise) return nullptr;
     const SpintronicConfig config = ConfigForKnob(spec.knob);
     const Status status = config.Validate();
     if (!status.ok()) return status;
@@ -85,6 +79,13 @@ class SpintronicBackend final : public MemoryBackend {
     approx_models_.emplace_back(
         spec.knob, std::make_unique<SpintronicWriteModel>(config));
     return approx_models_.back().second.get();
+  }
+
+  /// The reference operating point's unit-energy precise write and read.
+  PreciseCosts precise_costs() override {
+    const SpintronicConfig reference;
+    return PreciseCosts{reference.precise_write_energy, 0.0,
+                        reference.read_energy};
   }
 
   double ModelWordErrorRate(const AllocSpec& spec) override {
@@ -105,7 +106,6 @@ class SpintronicBackend final : public MemoryBackend {
   double precise_knob() const override { return 0.0; }
 
  private:
-  std::unique_ptr<WriteModel> precise_model_;
   std::vector<std::pair<double, std::unique_ptr<WriteModel>>> approx_models_;
 };
 

@@ -3,19 +3,19 @@
 // The paper evaluates the same sorts on two device technologies (MLC PCM,
 // Sections 2-4; approximate spintronic memory, Appendix A). A MemoryBackend
 // packages everything the allocation facade needs to know about one
-// technology — how to build precise and approximate WriteModels, what the
-// calibrated word-error rate is (for the health monitor's quarantine
-// threshold), what unit costs are reported in, and how the technology's
-// approximation knob behaves — behind one interface keyed by a
-// technology-agnostic AllocSpec. ApproxMemory holds exactly one backend and
-// never mentions a device name; adding a new device model (memristive,
-// DRAM-with-reduced-refresh, ...) is one new backend file plus a registry
-// entry.
+// technology — what precise writes and reads cost, how to build its
+// approximate WriteModels, what the calibrated word-error rate is (for the
+// health monitor's quarantine threshold), what unit costs are reported in,
+// and how the technology's approximation knob behaves — behind one
+// interface keyed by a technology-agnostic AllocSpec. ApproxMemory holds
+// exactly one backend and never mentions a device name; adding a new device
+// model (memristive, DRAM-with-reduced-refresh, ...) is one new backend file
+// plus a registry entry.
 //
 // Built-in backends:
 //   mlc-pcm         Monte-Carlo-calibrated MLC PCM (the paper's Table 1/2
 //                   substrate); knob = target-range half-width T; unit ns.
-//   mlc-pcm-banked  The mlc-pcm write models themselves, plus a
+//   mlc-pcm-banked  The mlc-pcm costs and write models themselves, plus a
 //                   mem::MemorySystem (cache hierarchy + banked PCM with
 //                   write queues) that ApproxMemory hands to every array;
 //                   the arrays charge each access there, inline; knob = T;
@@ -91,8 +91,9 @@ struct BackendContext {
   uint64_t calibration_seed = 0xca11b7a7e5eedULL;
 };
 
-/// One memory technology: write-model factory plus the technology-specific
-/// constants the engine, resilience ladder, and health monitor need.
+/// One memory technology: its precise costs, an approximate write-model
+/// factory, and the technology-specific constants the engine, resilience
+/// ladder, and health monitor need.
 ///
 /// Implementations own every WriteModel they hand out and reuse models
 /// across allocations with the same spec parameters; a model must stay
@@ -111,8 +112,14 @@ class MemoryBackend {
   /// rejects out-of-range T).
   virtual Status Validate(const AllocSpec& spec) const = 0;
 
-  /// The write model serving `spec`; owned by the backend.
+  /// The approximate write model serving `spec`, owned by the backend, or
+  /// null when the backend serves `spec` precisely: every kPrecise spec, and
+  /// every spec on a precise-only backend. A null model means the array
+  /// stores at precise_costs().
   virtual StatusOr<WriteModel*> ModelFor(const AllocSpec& spec) = 0;
+
+  /// What one precise write and one precise read cost on this technology.
+  virtual PreciseCosts precise_costs() = 0;
 
   /// Calibrated probability that one word write of `spec` stores a wrong
   /// value — the health monitor's quarantine reference rate. Zero for

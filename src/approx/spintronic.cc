@@ -120,14 +120,4 @@ void SpintronicWriteModel::WriteBatch(const uint32_t* intended, size_t count,
   }
 }
 
-PreciseSpintronicWriteModel::PreciseSpintronicWriteModel(
-    const SpintronicConfig& reference)
-    : write_energy_(reference.precise_write_energy),
-      read_energy_(reference.read_energy) {}
-
-WordWriteOutcome PreciseSpintronicWriteModel::Write(uint32_t intended,
-                                                    Rng& /*rng*/) {
-  return WordWriteOutcome{intended, write_energy_};
-}
-
 }  // namespace approxmem::approx

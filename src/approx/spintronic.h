@@ -54,8 +54,6 @@ class SpintronicWriteModel final : public WriteModel {
   void WriteBatch(const uint32_t* intended, size_t count, Rng& rng,
                   WordWriteOutcome* outcomes) override;
   double ReadCost() const override { return config_.read_energy; }
-  std::string_view CostUnit() const override { return "energy"; }
-  bool IsPrecise() const override { return false; }
 
   const SpintronicConfig& config() const { return config_; }
 
@@ -66,21 +64,6 @@ class SpintronicWriteModel final : public WriteModel {
 
   SpintronicConfig config_;
   double word_error_prob_;  // 1 - (1-p)^32, precomputed.
-};
-
-/// Precise spintronic baseline: unit-energy writes, no errors.
-class PreciseSpintronicWriteModel final : public WriteModel {
- public:
-  explicit PreciseSpintronicWriteModel(const SpintronicConfig& reference);
-
-  WordWriteOutcome Write(uint32_t intended, Rng& rng) override;
-  double ReadCost() const override { return read_energy_; }
-  std::string_view CostUnit() const override { return "energy"; }
-  bool IsPrecise() const override { return true; }
-
- private:
-  double write_energy_;
-  double read_energy_;
 };
 
 }  // namespace approxmem::approx

@@ -1,15 +1,16 @@
-// Abstraction over how a 32-bit word behaves when stored.
+// How a 32-bit word behaves when stored.
 //
-// A WriteModel decides (a) what value a write actually leaves in memory
-// (error injection) and (b) what the write and read cost. Concrete models:
-// precise PCM, approximate MLC PCM (fast calibrated path and exact
-// Monte-Carlo path), and the Appendix-A spintronic bit-flip model.
+// The paper's hybrid memory has two domains. A precise write stores what it
+// is given at one fixed cost, so the precise domain is a value: the backend's
+// PreciseCosts. An approximate write may corrupt the stored value and costs
+// what the technology's cell model says, so the approximate domain is a
+// WriteModel. Concrete models: approximate MLC PCM (fast calibrated path and
+// exact Monte-Carlo path) and the Appendix-A spintronic bit-flip model.
 #ifndef APPROXMEM_APPROX_WRITE_MODEL_H_
 #define APPROXMEM_APPROX_WRITE_MODEL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "common/random.h"
 
@@ -20,14 +21,26 @@ struct WordWriteOutcome {
   /// The digital value subsequent reads will observe (sticky until the next
   /// write of the same word).
   uint32_t stored = 0;
-  /// Cost of this write in the model's unit (ns or energy units).
+  /// Cost of this write in the technology's unit (ns or energy units).
   double cost = 0.0;
   /// Total program-and-verify iterations spent across the word's cells
   /// (wear/endurance proxy for PCM models; 0 for non-P&V technologies).
   double pv_iterations = 0.0;
 };
 
-/// Interface implemented by each memory technology / precision domain.
+/// The precise domain of one technology: every precise write stores exactly
+/// what it is given, costs `write` and spends `pv` program-and-verify
+/// iterations, whatever the value, and draws no randomness; every precise
+/// read costs `read`. Costs are in the technology's unit.
+struct PreciseCosts {
+  double write = 0.0;
+  double pv = 0.0;
+  double read = 0.0;
+};
+
+/// One approximate operating point of a memory technology. Models never see
+/// addresses: address-dependent costs (the banked backend's Table 1 device)
+/// are charged by the array, which calls the device directly.
 class WriteModel {
  public:
   virtual ~WriteModel() = default;
@@ -46,20 +59,8 @@ class WriteModel {
     for (size_t i = 0; i < count; ++i) outcomes[i] = Write(intended[i], rng);
   }
 
-  /// Cost of one word read in the model's unit.
+  /// Cost of one word read in the technology's unit.
   virtual double ReadCost() const = 0;
-
-  /// Unit label for reports: "ns" or "energy".
-  virtual std::string_view CostUnit() const = 0;
-
-  /// True if writes never corrupt (precise domains). Every precise model's
-  /// Write() stores exactly what it is given, at a cost and #P that do not
-  /// depend on the value, and draws nothing from the Rng: arrays read that
-  /// fixed outcome once, with one probe Write, and then store and charge
-  /// precise words without calling Write(). Models never see addresses:
-  /// address-dependent costs (the banked backend's Table 1 device) are
-  /// charged by the array, which calls the device directly.
-  virtual bool IsPrecise() const = 0;
 };
 
 }  // namespace approxmem::approx

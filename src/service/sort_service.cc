@@ -206,14 +206,10 @@ StatusOr<uint64_t> SortService::Submit(const SortRequest& request) {
   submit_time_.push_back(NowSeconds());
   virtual_submit_us_.push_back(virtual_now_us_);
   if (backlog_.size() >= options_.admission.queue_capacity) {
-    record.state = JobState::kShed;
-    record.status = Status::Unavailable(
-        "backlog full (" +
-        std::to_string(options_.admission.queue_capacity) +
-        " queued); shed at submission");
-    record.wear_epoch = ServiceWearEpoch();
-    ++stats_.jobs_shed;
-    slo_.RecordShed(record.wear_epoch);
+    ShedJob(record, ServiceWearEpoch(),
+            "backlog full (" +
+                std::to_string(options_.admission.queue_capacity) +
+                " queued); shed at submission");
     records_.push_back(std::move(record));
     return ticket;
   }
@@ -244,17 +240,10 @@ size_t SortService::RunBatch() {
       while (!backlog_.empty()) {
         JobRecord& record = records_[backlog_.front()];
         backlog_.pop_front();
-        record.state = JobState::kShed;
-        record.status = Status::Unavailable(
-            "service substrate exhausted: every bank on every shard is "
-            "retired");
-        record.wear_epoch = epoch;
-        record.latency_seconds = NowSeconds() - submit_time_[record.ticket];
-        record.virtual_latency_us =
-            virtual_now_us_ - virtual_submit_us_[record.ticket];
-        ++stats_.jobs_shed;
+        ShedJob(record, epoch,
+                "service substrate exhausted: every bank on every shard is "
+                "retired");
         ++stats_.jobs_shed_exhausted;
-        slo_.RecordShed(epoch);
       }
       return 0;
     }
@@ -305,18 +294,11 @@ size_t SortService::RunBatch() {
       const auto charged = tenant.epoch_write_cost.find(admission_epoch);
       if (charged != tenant.epoch_write_cost.end() &&
           charged->second >= tenant.spec.epoch_cost_quota) {
-        record.state = JobState::kShed;
-        record.status = Status::Unavailable(
-            "tenant " + record.request.tenant +
-            " exhausted its Eq. 2 write-cost quota for wear epoch " +
-            std::to_string(admission_epoch));
-        record.wear_epoch = admission_epoch;
-        record.latency_seconds = NowSeconds() - submit_time_[ticket];
-        record.virtual_latency_us =
-            virtual_now_us_ - virtual_submit_us_[ticket];
-        ++stats_.jobs_shed;
+        ShedJob(record, admission_epoch,
+                "tenant " + record.request.tenant +
+                    " exhausted its Eq. 2 write-cost quota for wear epoch " +
+                    std::to_string(admission_epoch));
         ++stats_.jobs_shed_quota;
-        slo_.RecordShed(record.wear_epoch);
         continue;
       }
     }
@@ -352,16 +334,9 @@ size_t SortService::RunBatch() {
     ++record.deferrals;
     ++stats_.deferral_events;
     if (record.deferrals > options_.admission.max_deferrals) {
-      record.state = JobState::kShed;
-      record.status = Status::Unavailable(
-          "shed by admission control after " +
-          std::to_string(record.deferrals) + " deferrals");
-      record.wear_epoch = ServiceWearEpoch();
-      record.latency_seconds = NowSeconds() - submit_time_[ticket];
-      record.virtual_latency_us =
-          virtual_now_us_ - virtual_submit_us_[ticket];
-      ++stats_.jobs_shed;
-      slo_.RecordShed(record.wear_epoch);
+      ShedJob(record, ServiceWearEpoch(),
+              "shed by admission control after " +
+                  std::to_string(record.deferrals) + " deferrals");
     } else {
       record.state = JobState::kDeferred;
       deferred.push_back(ticket);
@@ -433,6 +408,18 @@ size_t SortService::RunBatch() {
   stats_.quarantined_regions = quarantined;
   stats_.banks_retired = retired;
   return executed;
+}
+
+void SortService::ShedJob(JobRecord& record, uint64_t epoch,
+                          const std::string& reason) {
+  record.state = JobState::kShed;
+  record.status = Status::Unavailable(reason);
+  record.wear_epoch = epoch;
+  record.latency_seconds = NowSeconds() - submit_time_[record.ticket];
+  record.virtual_latency_us =
+      virtual_now_us_ - virtual_submit_us_[record.ticket];
+  ++stats_.jobs_shed;
+  slo_.RecordShed(epoch);
 }
 
 uint64_t SortService::ServiceWearEpoch() const {

@@ -350,6 +350,11 @@ class SortService {
   core::ApproxSortEngine& EngineFor(Shard& shard, const TenantSpec& tenant);
   void ExecuteShard(Shard& shard);
   void RunJob(Shard& shard, uint64_t ticket);
+  /// Sheds a job on the driver thread with an honest Unavailable `reason`:
+  /// sets its state, status and wear `epoch`, stamps both latencies, and
+  /// counts the shed in the stats and the epoch's SLO. Callers bump their
+  /// own sub-counter.
+  void ShedJob(JobRecord& record, uint64_t epoch, const std::string& reason);
   /// Retirements summed across all shard substrates — the epoch stamped on
   /// jobs that never reached a shard, and the key tenant cost quotas are
   /// charged under.

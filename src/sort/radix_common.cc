@@ -39,7 +39,6 @@ BucketQueues::BucketQueues(uint32_t num_buckets,
                            approx::ApproxArrayU32* id_arena, size_t arena_base)
     : key_arena_(key_arena),
       id_arena_(id_arena),
-      arena_base_(arena_base),
       next_(arena_base),
       positions_(num_buckets) {
   APPROXMEM_CHECK(key_arena != nullptr);

@@ -119,12 +119,10 @@ class BucketQueues {
   size_t BucketSize(uint32_t bucket) const {
     return positions_[bucket].size();
   }
-  size_t TotalPushed() const { return next_ - arena_base_; }
 
  private:
   approx::ApproxArrayU32* key_arena_;
   approx::ApproxArrayU32* id_arena_;
-  size_t arena_base_;
   size_t next_;
   std::vector<std::vector<uint32_t>> positions_;
 };

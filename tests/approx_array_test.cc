@@ -455,6 +455,53 @@ TEST(ApproxArrayTest, PlainPathMatchesHookedPathBitForBit) {
   }
 }
 
+// A precise word is stored at a constant outcome and draws nothing. With a
+// hook installed (so no plain fast path applies), Set, SetRange and
+// ScatterPaired on precise arrays leave the arrays' and the shards' RNG
+// streams where they were.
+TEST(ApproxArrayTest, HookedPreciseWritesLeaveTheStreamUntouched) {
+  for (const std::string backend :
+       {"mlc-pcm", "mlc-pcm-banked", "dram-precise", "spintronic"}) {
+    SCOPED_TRACE(backend);
+    ApproxMemory::Options options = DefaultOptions();
+    options.backend = backend;
+    options.calibration_trials = 5000;
+    PassThroughHook hook;
+    options.fault_hook = &hook;
+    ApproxMemory memory(options);
+    constexpr size_t kN = 200;
+    constexpr size_t kBlock = ApproxArrayU32::kScatterBlock;
+    ApproxArrayU32 keys = memory.NewPreciseArray(kN);
+    ApproxArrayU32 ids = memory.NewPreciseArray(kN);
+    ASSERT_TRUE(keys.precise() && !keys.unobserved());
+    Rng rng(5);
+    std::vector<uint32_t> words(kN);
+    for (uint32_t& w : words) w = rng.NextU32();
+
+    const Rng stream = keys.rng();
+    keys.Set(3, words[3]);
+    keys.SetRange(0, words.data(), kN);
+    EXPECT_TRUE(keys.rng() == stream);
+
+    auto key_plan = keys.MakeShards(1);
+    auto id_plan = ids.MakeShards(1);
+    const Rng key_stream = key_plan[0].rng();
+    const Rng id_stream = id_plan[0].rng();
+    size_t dest[kBlock];
+    for (size_t k = 0; k < kBlock; ++k) dest[k] = kN - 1 - k;
+    key_plan[0].ScatterPaired(dest, words.data(), &id_plan[0],
+                              words.data() + 1, kBlock);
+    EXPECT_TRUE(key_plan[0].rng() == key_stream);
+    EXPECT_TRUE(id_plan[0].rng() == id_stream);
+    keys.MergeShards(key_plan);
+    ids.MergeShards(id_plan);
+    EXPECT_EQ(keys.stats().word_writes, 1 + kN + kBlock);
+    EXPECT_EQ(keys.PeekActual(kN - 1), words[0]);
+    EXPECT_EQ(ids.PeekActual(kN - 1), words[1]);
+    EXPECT_EQ(keys.DeviatingElements() + ids.DeviatingElements(), 0u);
+  }
+}
+
 TEST(ApproxArrayTest, ConcurrentPlainShardsMatchSerial) {
   constexpr size_t kN = 20011;
   const std::vector<size_t> bounds = {0, 13, 77, 5003, 5010, 12345, kN};
@@ -863,10 +910,7 @@ TEST(ApproxArrayTest, PlainRangesCrossAPowerOfTwoExactly) {
       ranged.ResetStats();
       single.ResetStats();
       size_t r = 0;
-      const double read_cost = memory.backend()
-                                   .ModelFor(AllocSpec::Precise(1))
-                                   .value()
-                                   ->ReadCost();
+      const double read_cost = memory.backend().precise_costs().read;
       const double read_top = std::exp2(std::ceil(std::log2(read_cost * 1500)));
       while (single.stats().read_cost + 3 * read_cost < read_top) {
         ranged.Get(r);

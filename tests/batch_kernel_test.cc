@@ -234,20 +234,6 @@ TEST(WriteModelBatchTest, SpintronicWriteBatchMatchesScalarWrites) {
   EXPECT_GT(corrupted, 0u);
 }
 
-TEST(WriteModelBatchTest, PreciseModelsWriteBatchMatchesScalarWrites) {
-  for (const std::string_view name :
-       {approx::kPcmBackendName, approx::kSpintronicBackendName,
-        approx::kDramPreciseBackendName}) {
-    SCOPED_TRACE(std::string(name));
-    auto backend = MakeBackend(name);
-    ASSERT_NE(backend, nullptr);
-    uint64_t corrupted = 0;
-    ExpectWriteBatchParity(*backend, approx::AllocSpec::Precise(kParityWords),
-                           &corrupted);
-    EXPECT_EQ(corrupted, 0u);
-  }
-}
-
 void ExpectSameLedger(const approx::MemoryStats& a,
                       const approx::MemoryStats& b) {
   EXPECT_EQ(a.word_reads, b.word_reads);

@@ -100,7 +100,6 @@ TEST_F(BucketQueuesTest, DrainsInBucketThenFifoOrder) {
   EXPECT_EQ(queues.BucketSize(0), 2u);
   EXPECT_EQ(queues.BucketSize(2), 2u);
   EXPECT_EQ(queues.BucketSize(3), 0u);
-  EXPECT_EQ(queues.TotalPushed(), 5u);
   EXPECT_EQ(queues.DrainTo(out, nullptr, 0), 5u);
   EXPECT_EQ(out.PeekActual(0), 1u);
   EXPECT_EQ(out.PeekActual(1), 2u);

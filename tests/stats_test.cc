@@ -198,30 +198,25 @@ TEST(AddRepeatedTest, MatchesSerialAddsOnEdgeCases) {
 }
 
 TEST(AddRepeatedTest, MatchesSerialAddsForEveryBackendCost) {
-  // The constant adds the plain paths make: each backend's read cost, and
-  // each precise model's write cost (undiscounted and discounted) and #P,
-  // for up to 16M words (the --full size).
+  // The constant adds the plain paths make: each backend's read costs, and
+  // its precise write cost (undiscounted and discounted) and #P, for up to
+  // 16M words (the --full size).
   std::set<double> costs;
   for (const std::string& name : approx::RegisteredBackendNames()) {
     approx::ApproxMemory::Options options;
     options.backend = name;
     options.calibration_trials = 5000;
     approx::ApproxMemory memory(options);
-    for (const approx::AllocSpec& spec :
-         {approx::AllocSpec::Precise(1),
-          approx::AllocSpec::Approx(memory.backend().default_approx_knob(),
-                                    1)}) {
-      auto model = memory.backend().ModelFor(spec);
-      ASSERT_TRUE(model.ok()) << name;
-      costs.insert(model.value()->ReadCost());
-      if (spec.domain != approx::AllocSpec::Domain::kPrecise) continue;
-      Rng rng(1);
-      const approx::WordWriteOutcome outcome = model.value()->Write(0, rng);
-      for (const double discount : {1.0, 0.8, 0.5}) {
-        costs.insert(outcome.cost * discount);
-      }
-      costs.insert(outcome.pv_iterations);
+    const approx::PreciseCosts precise = memory.backend().precise_costs();
+    costs.insert(precise.read);
+    for (const double discount : {1.0, 0.8, 0.5}) {
+      costs.insert(precise.write * discount);
     }
+    costs.insert(precise.pv);
+    auto model = memory.backend().ModelFor(approx::AllocSpec::Approx(
+        memory.backend().default_approx_knob(), 1));
+    ASSERT_TRUE(model.ok()) << name;
+    if (*model != nullptr) costs.insert(model.value()->ReadCost());
   }
   EXPECT_GE(costs.size(), 6u);
   const uint64_t checkpoints[] = {1,       2,         63,      64,
