@@ -109,13 +109,9 @@ BenchEnv ResolveBenchEnv(const Flags& flags, size_t default_n,
   env.csv_dir = flags.GetString("csv_dir", "bench_artifacts");
   env.calibration_cache = flags.GetString("calibration_cache", "");
   env.backend = flags.GetString("backend", std::string(default_backend));
-  if (!approx::IsRegisteredBackend(env.backend)) {
-    std::fprintf(stderr, "unknown --backend=%s; registered:",
-                 env.backend.c_str());
-    for (const std::string& name : approx::RegisteredBackendNames()) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
+  const Status backend = approx::CheckBackendName(env.backend);
+  if (!backend.ok()) {
+    std::fprintf(stderr, "%s\n", backend.ToString().c_str());
     std::exit(2);
   }
   return env;

@@ -20,6 +20,8 @@
 
 namespace {
 
+constexpr char kUsage[] = "usage: db_orderby [--rows=500000] [--t=0.055]\n";
+
 struct OrderRow {
   uint32_t order_id;
   uint32_t amount_cents;  // The ORDER BY key.
@@ -32,8 +34,10 @@ int main(int argc, char** argv) {
   using namespace approxmem;
 
   auto flags = Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+  const Status listed =
+      flags.ok() ? flags->CheckListedIn(kUsage) : flags.status();
+  if (!listed.ok()) {
+    std::fprintf(stderr, "%s\n%s", listed.ToString().c_str(), kUsage);
     return 2;
   }
   const size_t rows = static_cast<size_t>(flags->GetInt("rows", 500000));

@@ -10,12 +10,20 @@
 #include "core/engine.h"
 #include "core/workload.h"
 
+namespace {
+
+constexpr char kUsage[] = "usage: energy_saver [--n=300000]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace approxmem;
 
   auto flags = Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+  const Status listed =
+      flags.ok() ? flags->CheckListedIn(kUsage) : flags.status();
+  if (!listed.ok()) {
+    std::fprintf(stderr, "%s\n%s", listed.ToString().c_str(), kUsage);
     return 2;
   }
   const size_t n = static_cast<size_t>(flags->GetInt("n", 300000));

@@ -13,12 +13,21 @@
 #include "core/engine.h"
 #include "core/workload.h"
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: quickstart [--n=1000000] [--t=0.055] [--seed=7]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace approxmem;
 
   auto flags = Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+  const Status listed =
+      flags.ok() ? flags->CheckListedIn(kUsage) : flags.status();
+  if (!listed.ok()) {
+    std::fprintf(stderr, "%s\n%s", listed.ToString().c_str(), kUsage);
     return 2;
   }
   const size_t n = static_cast<size_t>(flags->GetInt("n", 1000000));

@@ -7,7 +7,7 @@
 // and evaluates Equation 4; it then validates the chosen point with a full
 // measured run.
 //
-//   $ ./build/examples/tuning_advisor [--n=400000] [--algo=lsd3]
+//   $ ./build/examples/tuning_advisor [--n=400000] [--algo=lsd3] [--pilot_n=N]
 #include <cstdio>
 #include <string>
 
@@ -16,12 +16,21 @@
 #include "core/workload.h"
 #include "refine/cost_model.h"
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: tuning_advisor [--n=400000] [--algo=lsd3] [--pilot_n=N]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace approxmem;
 
   auto flags = Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+  const Status listed =
+      flags.ok() ? flags->CheckListedIn(kUsage) : flags.status();
+  if (!listed.ok()) {
+    std::fprintf(stderr, "%s\n%s", listed.ToString().c_str(), kUsage);
     return 2;
   }
   const size_t n = static_cast<size_t>(flags->GetInt("n", 400000));

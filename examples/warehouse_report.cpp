@@ -20,12 +20,21 @@
 #include "dbops/aggregate.h"
 #include "dbops/join.h"
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: warehouse_report [--sales=200000] [--products=20000]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace approxmem;
 
   auto flags = Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+  const Status listed =
+      flags.ok() ? flags->CheckListedIn(kUsage) : flags.status();
+  if (!listed.ok()) {
+    std::fprintf(stderr, "%s\n%s", listed.ToString().c_str(), kUsage);
     return 2;
   }
   const size_t n_sales = static_cast<size_t>(flags->GetInt("sales", 200000));

@@ -90,7 +90,7 @@ ApproxArrayU32 ApproxMemory::AllocateArray(size_t n, WriteModel* model,
         attempt >= HealthMonitor::kMaxAllocRetries) {
       return make_array(n, base);
     }
-    health_.RecordQuarantine(base, span);
+    health_.RecordQuarantine();
     health_.RecordRetry();
     if (options_.placement != nullptr) {
       options_.placement->OnQuarantine(base, span);

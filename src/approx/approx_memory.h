@@ -52,10 +52,10 @@ class PlacementPolicy {
 class ApproxMemory {
  public:
   struct Options {
-    /// Registry name of the memory technology serving every allocation;
-    /// see memory_backend.h for the built-ins. Must be registered
-    /// (checked at construction; validate early with IsRegisteredBackend
-    /// for a recoverable error).
+    /// Name of the memory technology serving every allocation; see
+    /// memory_backend.h for the built-ins. Must be one of them (checked at
+    /// construction; validate early with CheckBackendName for a
+    /// recoverable error).
     std::string backend = std::string(kPcmBackendName);
     mlc::MlcConfig mlc;
     SimulationMode mode = SimulationMode::kFast;

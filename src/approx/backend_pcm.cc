@@ -1,8 +1,21 @@
-// The "mlc-pcm" backend: Monte-Carlo-calibrated MLC PCM (Sections 2-4).
+// The "mlc-pcm" and "mlc-pcm-banked" backends: Monte-Carlo-calibrated MLC
+// PCM (Sections 2-4).
 //
 // Knob semantics: the AllocSpec knob is the target-range half-width T.
 // Approximate write latency scales with the calibrated avg #P relative to
 // the precise configuration, anchored at the Table 1 precise write latency.
+//
+// "mlc-pcm-banked" is the same backend built with its own
+// mem::MemorySystem (Table 1 cache hierarchy in front of banked PCM with
+// write queues) as cost_system(): the paper's trace-driven simulation run
+// inline. Error injection, #P and per-write service latency are unchanged;
+// ApproxMemory passes the device to every array it builds, and the array
+// charges each access there, so charged costs become address-dependent — a
+// read that hits L1 costs its L1 latency, and a write additionally pays any
+// CPU stall its posting caused behind a full bank write queue. Queued
+// service time that drains later is background work the CPU never waits
+// for. All arrays of one ApproxMemory share the device, so bank contention
+// across arrays is modeled.
 #include <algorithm>
 #include <memory>
 #include <optional>
@@ -12,6 +25,7 @@
 #include "approx/memory_backend.h"
 #include "approx/write_model.h"
 #include "common/check.h"
+#include "mem/memory_system.h"
 #include "mlc/calibration.h"
 #include "mlc/cell.h"
 #include "mlc/word_codec.h"
@@ -163,8 +177,11 @@ class FastPcmWriteModel final : public WriteModel {
 
 class PcmBackend final : public MemoryBackend {
  public:
-  explicit PcmBackend(const BackendContext& context)
-      : mlc_(context.mlc),
+  /// A null `device` is "mlc-pcm"; a device makes this "mlc-pcm-banked".
+  PcmBackend(const BackendContext& context,
+             std::unique_ptr<mem::MemorySystem> device)
+      : device_(std::move(device)),
+        mlc_(context.mlc),
         mode_(context.mode),
         calibration_(context.calibration
                          ? context.calibration
@@ -175,7 +192,9 @@ class PcmBackend final : public MemoryBackend {
     APPROXMEM_CHECK_OK(mlc_.WithT(mlc_.precise_t_width).Validate());
   }
 
-  std::string_view name() const override { return kPcmBackendName; }
+  std::string_view name() const override {
+    return device_ ? kBankedPcmBackendName : kPcmBackendName;
+  }
   std::string_view cost_unit() const override { return "ns"; }
 
   Status Validate(const AllocSpec& spec) const override {
@@ -220,6 +239,8 @@ class PcmBackend final : public MemoryBackend {
   double min_knob() const override { return mlc_.precise_t_width; }
   double precise_knob() const override { return mlc_.precise_t_width; }
 
+  mem::MemorySystem* cost_system() override { return device_.get(); }
+
  private:
   WriteModel* ApproxModelForT(double t) {
     for (auto& [existing_t, model] : approx_models_) {
@@ -241,6 +262,7 @@ class PcmBackend final : public MemoryBackend {
     return approx_models_.back().second.get();
   }
 
+  std::unique_ptr<mem::MemorySystem> device_;
   mlc::MlcConfig mlc_;
   SimulationMode mode_;
   std::shared_ptr<mlc::CalibrationCache> calibration_;
@@ -253,7 +275,14 @@ class PcmBackend final : public MemoryBackend {
 namespace internal {
 
 std::unique_ptr<MemoryBackend> MakePcmBackend(const BackendContext& context) {
-  return std::make_unique<PcmBackend>(context);
+  return std::make_unique<PcmBackend>(context, nullptr);
+}
+
+std::unique_ptr<MemoryBackend> MakeBankedPcmBackend(
+    const BackendContext& context) {
+  return std::make_unique<PcmBackend>(
+      context, std::make_unique<mem::MemorySystem>(
+                   mem::MemorySystem::PaperDefault()));
 }
 
 }  // namespace internal

@@ -1,7 +1,5 @@
 #include "approx/health_monitor.h"
 
-#include <iterator>
-
 namespace approxmem::approx {
 namespace {
 
@@ -30,44 +28,6 @@ uint64_t HealthMonitor::ProbeSite(ApproxArrayU32& canaries) {
   stats_.canary_costs += canaries.stats();
   canaries.ResetStats();
   return errors;
-}
-
-void HealthMonitor::RecordQuarantine(uint64_t base, uint64_t span) {
-  quarantined_.emplace_back(base, span);
-  ++stats_.regions_quarantined;
-  ++stats_.canary_costs.degraded_regions;
-
-  // Fold [base, base + span) into the disjoint interval index, merging any
-  // overlapping or adjacent entries so lookups stay one bound-search.
-  uint64_t begin = base;
-  uint64_t end = base + span;
-  auto it = interval_index_.upper_bound(begin);
-  if (it != interval_index_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= begin) {
-      begin = prev->first;
-      if (prev->second > end) end = prev->second;
-      it = interval_index_.erase(prev);
-    }
-  }
-  while (it != interval_index_.end() && it->first <= end) {
-    if (it->second > end) end = it->second;
-    it = interval_index_.erase(it);
-  }
-  interval_index_.emplace(begin, end);
-}
-
-bool HealthMonitor::IsQuarantined(uint64_t base, uint64_t span) const {
-  const uint64_t end = base + span;
-  // The candidate intervals are the one starting at or before `base` (it
-  // may extend past base) and the first one starting after it (it may
-  // start before `end`); the index is disjoint, so nothing else can
-  // intersect.
-  auto it = interval_index_.upper_bound(base);
-  if (it != interval_index_.begin() && std::prev(it)->second > base) {
-    return true;
-  }
-  return it != interval_index_.end() && it->first < end;
 }
 
 }  // namespace approxmem::approx

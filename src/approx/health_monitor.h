@@ -24,9 +24,6 @@
 #define APPROXMEM_APPROX_HEALTH_MONITOR_H_
 
 #include <cstdint>
-#include <map>
-#include <utility>
-#include <vector>
 
 #include "approx/approx_array.h"
 #include "approx/memory_stats.h"
@@ -90,29 +87,18 @@ class HealthMonitor {
     return observed_rate <= kQuarantineFactor * reference;
   }
 
-  /// Records [base, base + span) as degraded and excluded from allocation.
-  void RecordQuarantine(uint64_t base, uint64_t span);
+  /// Counts one quarantined candidate region. The allocator never revisits
+  /// it: the placement policy or the bump stride routes the retry past it.
+  void RecordQuarantine() {
+    ++stats_.regions_quarantined;
+    ++stats_.canary_costs.degraded_regions;
+  }
   void RecordRetry() { ++stats_.allocation_retries; }
   void RecordRegionProbed() { ++stats_.regions_probed; }
-
-  /// Whether [base, base + span) intersects any quarantined region.
-  /// O(log q) against the merged interval index — allocation-time checks
-  /// stay cheap when retirement grows the list into the hundreds.
-  bool IsQuarantined(uint64_t base, uint64_t span) const;
-  const std::vector<std::pair<uint64_t, uint64_t>>& quarantined_regions()
-      const {
-    return quarantined_;
-  }
 
  private:
   HealthOptions options_;
   HealthStats stats_;
-  /// Quarantined [base, base + span) regions, in quarantine order (the
-  /// diagnostic timeline; may contain overlaps as recorded).
-  std::vector<std::pair<uint64_t, uint64_t>> quarantined_;
-  /// Interval index for IsQuarantined: base -> end, disjoint and sorted
-  /// (overlapping or adjacent inserts are merged).
-  std::map<uint64_t, uint64_t> interval_index_;
 };
 
 }  // namespace approxmem::approx

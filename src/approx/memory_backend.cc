@@ -1,88 +1,67 @@
 #include "approx/memory_backend.h"
 
 #include <algorithm>
-#include <mutex>
-#include <utility>
+#include <iterator>
 
 namespace approxmem::approx {
 namespace {
 
-struct Registry {
-  std::mutex mu;
-  std::vector<std::pair<std::string, BackendFactory>> entries;
+struct BuiltIn {
+  std::string_view name;
+  std::unique_ptr<MemoryBackend> (*make)(const BackendContext& context);
 };
 
-Registry& GetRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    // Built-ins are wired here (not via per-TU static initializers) so a
-    // static-library link can never dead-strip them.
-    r->entries.emplace_back(std::string(kPcmBackendName),
-                            &internal::MakePcmBackend);
-    r->entries.emplace_back(std::string(kBankedPcmBackendName),
-                            &internal::MakeBankedPcmBackend);
-    r->entries.emplace_back(std::string(kSpintronicBackendName),
-                            &internal::MakeSpintronicBackend);
-    r->entries.emplace_back(std::string(kDramPreciseBackendName),
-                            &internal::MakeDramPreciseBackend);
-    return r;
-  }();
-  return *registry;
-}
+// Every memory technology, sorted by name so RegisteredBackendNames() is
+// the table's own order. Immutable, so lookups need no lock.
+constexpr BuiltIn kBuiltIns[] = {
+    {kDramPreciseBackendName, &internal::MakeDramPreciseBackend},
+    {kPcmBackendName, &internal::MakePcmBackend},
+    {kBankedPcmBackendName, &internal::MakeBankedPcmBackend},
+    {kSpintronicBackendName, &internal::MakeSpintronicBackend},
+};
+static_assert(std::is_sorted(std::begin(kBuiltIns), std::end(kBuiltIns),
+                             [](const BuiltIn& a, const BuiltIn& b) {
+                               return a.name < b.name;
+                             }));
 
-BackendFactory FindFactory(Registry& registry, std::string_view name) {
-  for (const auto& [existing, factory] : registry.entries) {
-    if (existing == name) return factory;
+const BuiltIn* Find(std::string_view name) {
+  for (const BuiltIn& built_in : kBuiltIns) {
+    if (built_in.name == name) return &built_in;
   }
   return nullptr;
 }
 
 }  // namespace
 
-bool RegisterMemoryBackend(std::string_view name, BackendFactory factory) {
-  if (name.empty() || factory == nullptr) return false;
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  if (FindFactory(registry, name) != nullptr) return false;
-  registry.entries.emplace_back(std::string(name), factory);
-  return true;
-}
-
 std::vector<std::string> RegisteredBackendNames() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
   std::vector<std::string> names;
-  names.reserve(registry.entries.size());
-  for (const auto& [name, factory] : registry.entries) names.push_back(name);
-  std::sort(names.begin(), names.end());
+  for (const BuiltIn& built_in : kBuiltIns) {
+    names.emplace_back(built_in.name);
+  }
   return names;
 }
 
 bool IsRegisteredBackend(std::string_view name) {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  return FindFactory(registry, name) != nullptr;
+  return Find(name) != nullptr;
+}
+
+Status CheckBackendName(std::string_view name) {
+  if (Find(name) != nullptr) return Status::Ok();
+  std::string known;
+  for (const BuiltIn& built_in : kBuiltIns) {
+    if (!known.empty()) known += ", ";
+    known += built_in.name;
+  }
+  return Status::InvalidArgument("unknown memory backend '" +
+                                 std::string(name) +
+                                 "'; registered backends: " + known);
 }
 
 StatusOr<std::unique_ptr<MemoryBackend>> CreateMemoryBackend(
     std::string_view name, const BackendContext& context) {
-  BackendFactory factory = nullptr;
-  {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    factory = FindFactory(registry, name);
-  }
-  if (factory == nullptr) {
-    std::string known;
-    for (const std::string& registered : RegisteredBackendNames()) {
-      if (!known.empty()) known += ", ";
-      known += registered;
-    }
-    return Status::InvalidArgument("unknown memory backend '" +
-                                   std::string(name) +
-                                   "'; registered backends: " + known);
-  }
-  return factory(context);
+  const BuiltIn* built_in = Find(name);
+  if (built_in == nullptr) return CheckBackendName(name);
+  return built_in->make(context);
 }
 
 }  // namespace approxmem::approx

@@ -9,17 +9,17 @@
 // and how the technology's approximation knob behaves — behind one
 // interface keyed by a technology-agnostic AllocSpec. ApproxMemory holds
 // exactly one backend and never mentions a device name; adding a new device
-// model (memristive, DRAM-with-reduced-refresh, ...) is one new backend file
-// plus a registry entry.
+// model (memristive, DRAM-with-reduced-refresh, ...) is one backend_*.cc
+// file plus one row in memory_backend.cc's name-sorted table.
 //
-// Built-in backends:
+// Built-in backends (the whole table):
 //   mlc-pcm         Monte-Carlo-calibrated MLC PCM (the paper's Table 1/2
 //                   substrate); knob = target-range half-width T; unit ns.
-//   mlc-pcm-banked  The mlc-pcm costs and write models themselves, plus a
+//   mlc-pcm-banked  The mlc-pcm backend built with its own
 //                   mem::MemorySystem (cache hierarchy + banked PCM with
-//                   write queues) that ApproxMemory hands to every array;
-//                   the arrays charge each access there, inline; knob = T;
-//                   unit ns.
+//                   write queues) as cost_system(), which ApproxMemory hands
+//                   to every array; the arrays charge each access there,
+//                   inline; knob = T; unit ns.
 //   spintronic      Appendix A bit-flip model; knob = per-bit write-error
 //                   probability (energy saving follows the paper's
 //                   operating-point curve); unit energy.
@@ -102,7 +102,7 @@ class MemoryBackend {
  public:
   virtual ~MemoryBackend() = default;
 
-  /// Registry name, e.g. "mlc-pcm".
+  /// Table name, e.g. "mlc-pcm".
   virtual std::string_view name() const = 0;
 
   /// Unit label for cost ledgers: "ns" or "energy".
@@ -147,36 +147,30 @@ class MemoryBackend {
   virtual mem::MemorySystem* cost_system() { return nullptr; }
 };
 
-/// Factory invoked once per ApproxMemory instance.
-using BackendFactory =
-    std::unique_ptr<MemoryBackend> (*)(const BackendContext& context);
-
-/// Registers a backend under `name`; returns false (and changes nothing)
-/// when the name is already taken. Safe to call from static initializers
-/// of plug-in translation units:
-///   const bool registered =
-///       RegisterMemoryBackend("memristive", MakeMemristiveBackend);
-bool RegisterMemoryBackend(std::string_view name, BackendFactory factory);
-
-/// Names of every registered backend, sorted.
+/// Names of the built-in backends, sorted.
 std::vector<std::string> RegisteredBackendNames();
 
 bool IsRegisteredBackend(std::string_view name);
 
-/// Instantiates the backend registered under `name`. Unknown names return
-/// NotFound listing the registered backends — never a crash.
+/// Ok for a built-in backend name; otherwise the one InvalidArgument every
+/// caller reports, naming `name` and listing the built-ins.
+Status CheckBackendName(std::string_view name);
+
+/// Instantiates the built-in backend named `name`. Unknown names return
+/// CheckBackendName's status — never a crash. Safe to call from many
+/// threads at once: the table is immutable.
 StatusOr<std::unique_ptr<MemoryBackend>> CreateMemoryBackend(
     std::string_view name, const BackendContext& context);
 
-/// Registry names of the built-in backends.
+/// Names of the built-in backends.
 inline constexpr std::string_view kPcmBackendName = "mlc-pcm";
 inline constexpr std::string_view kBankedPcmBackendName = "mlc-pcm-banked";
 inline constexpr std::string_view kSpintronicBackendName = "spintronic";
 inline constexpr std::string_view kDramPreciseBackendName = "dram-precise";
 
 namespace internal {
-// Built-in factories (one per backend_*.cc file), wired into the registry
-// by memory_backend.cc so a static library build cannot dead-strip them.
+// Built-in factories, defined in the backend_*.cc files and listed in
+// memory_backend.cc's table.
 std::unique_ptr<MemoryBackend> MakePcmBackend(const BackendContext& context);
 std::unique_ptr<MemoryBackend> MakeBankedPcmBackend(
     const BackendContext& context);

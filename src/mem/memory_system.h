@@ -1,7 +1,7 @@
 // Full memory system: write-through cache hierarchy in front of banked PCM.
 //
 // This is the substrate of the paper's trace-driven in-house simulator
-// (Table 1). The mlc-pcm-banked backend (src/approx/backend_banked.cc) drives
+// (Table 1). The mlc-pcm-banked backend (src/approx/backend_pcm.cc) drives
 // it with every array access as it happens, in program order. Reads that hit
 // a cache level cost that level's latency; misses and all writes
 // (write-through) go to PCM.

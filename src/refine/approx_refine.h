@@ -14,7 +14,6 @@
 #define APPROXMEM_REFINE_APPROX_REFINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,8 +28,7 @@
 
 namespace approxmem::refine {
 
-/// Allocator of arrays in some precision domain.
-using ArrayAlloc = std::function<approx::ApproxArrayU32(size_t)>;
+using sort::ArrayAlloc;
 
 /// How step 1 of the refine stage extracts the sorted subsequence.
 enum class LisMode {

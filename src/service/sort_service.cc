@@ -142,10 +142,8 @@ Status SortService::RegisterTenant(const TenantSpec& tenant) {
     return Status::InvalidArgument("tenant already registered: " +
                                    tenant.name);
   }
-  if (!approx::IsRegisteredBackend(tenant.backend)) {
-    return Status::InvalidArgument("unknown backend for tenant " +
-                                   tenant.name + ": " + tenant.backend);
-  }
+  const Status backend = approx::CheckBackendName(tenant.backend);
+  if (!backend.ok()) return backend;
   if (!std::isnan(tenant.knob)) {
     // Validate the knob against a throwaway backend instance now, so a bad
     // profile is a recoverable registration error instead of a crash in

@@ -3,8 +3,8 @@
 //
 // The paper's write-cost savings only matter at scale if many sort jobs
 // can share one approximate-memory substrate. SortService is that sharing
-// layer: tenants register a (backend, knob, resilience) profile through
-// the PR-5 MemoryBackend registry, submit SortRequests in arrival bursts,
+// layer: tenants register a (backend, knob, resilience) profile naming one
+// of the built-in MemoryBackends, submit SortRequests in arrival bursts,
 // and the service batches the backlog onto a sharded pool of
 // ApproxSortEngines driven by the deterministic ThreadPool.
 //
@@ -108,7 +108,7 @@ namespace approxmem::service {
 /// at what knob, and how hard the resilience ladder may climb for it.
 struct TenantSpec {
   std::string name;
-  /// Registry name of the tenant's memory technology.
+  /// Name of the tenant's memory technology (memory_backend.h).
   std::string backend = std::string(approx::kPcmBackendName);
   /// Approximation knob; NaN means the backend's sweet spot.
   double knob = std::numeric_limits<double>::quiet_NaN();

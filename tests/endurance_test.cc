@@ -1,15 +1,13 @@
 // Unit tests for the device-lifetime endurance subsystem
 // (approx/endurance.h): the ledger's wear -> escalation -> retirement
-// state machine, the timeline digest's replay contract, the WearErrorHook's
-// deterministic counter-based draws, and the health monitor's merged
-// interval index that keeps quarantine lookups O(log q).
+// state machine, the timeline digest's replay contract, and the
+// WearErrorHook's deterministic counter-based draws.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "approx/endurance.h"
-#include "approx/health_monitor.h"
 
 namespace approxmem::approx {
 namespace {
@@ -161,54 +159,6 @@ TEST(WearErrorHookTest, PreciseDomainAndHealthyBanksPassThrough) {
     EXPECT_EQ(hook.OnRead(i * 4, false, 3u), 3u);
   }
   EXPECT_EQ(hook.injected_errors(), 0u);
-}
-
-// ---- HealthMonitor interval index ------------------------------------------
-
-TEST(HealthMonitorIntervalTest, LookupMatchesBruteForceOverlap) {
-  HealthMonitor monitor(HealthOptions{});
-  // Overlapping, adjacent, and disjoint quarantines in shuffled order.
-  const std::vector<std::pair<uint64_t, uint64_t>> regions = {
-      {100, 50}, {400, 100}, {120, 100}, {220, 30}, {1000, 8}, {500, 20}};
-  for (const auto& [base, span] : regions) {
-    monitor.RecordQuarantine(base, span);
-  }
-  ASSERT_EQ(monitor.quarantined_regions().size(), regions.size());
-
-  const auto brute = [&regions](uint64_t base, uint64_t span) {
-    for (const auto& [b, s] : regions) {
-      if (base < b + s && b < base + span) return true;
-    }
-    return false;
-  };
-  for (uint64_t base = 0; base < 1100; base += 7) {
-    for (const uint64_t span : {1ull, 16ull, 128ull}) {
-      EXPECT_EQ(monitor.IsQuarantined(base, span), brute(base, span))
-          << "base=" << base << " span=" << span;
-    }
-  }
-}
-
-TEST(HealthMonitorIntervalTest, AdjacentRegionsMergeWithoutGaps) {
-  HealthMonitor monitor(HealthOptions{});
-  monitor.RecordQuarantine(0, 64);
-  monitor.RecordQuarantine(64, 64);  // Touching: [0, 128) must be solid.
-  EXPECT_TRUE(monitor.IsQuarantined(63, 2));
-  EXPECT_TRUE(monitor.IsQuarantined(0, 1));
-  EXPECT_TRUE(monitor.IsQuarantined(127, 1));
-  EXPECT_FALSE(monitor.IsQuarantined(128, 1));
-  EXPECT_EQ(monitor.stats().regions_quarantined, 2u);
-}
-
-TEST(HealthMonitorIntervalTest, ContainedAndSpanningInsertsStayCorrect) {
-  HealthMonitor monitor(HealthOptions{});
-  monitor.RecordQuarantine(100, 10);
-  monitor.RecordQuarantine(300, 10);
-  monitor.RecordQuarantine(50, 500);  // Swallows both earlier intervals.
-  EXPECT_TRUE(monitor.IsQuarantined(49, 2));
-  EXPECT_TRUE(monitor.IsQuarantined(549, 1));
-  EXPECT_FALSE(monitor.IsQuarantined(550, 10));
-  EXPECT_FALSE(monitor.IsQuarantined(0, 50));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Tests for the pluggable memory-technology backend layer: registry
-// behaviour, per-backend end-to-end smoke sorts, and the facade-level
-// features (sequential-write discount, fault hooks) that must behave
-// uniformly across every backend because they live above the WriteModel.
+// Tests for the memory-technology backend layer: the built-in table,
+// per-backend end-to-end smoke sorts, and the facade-level features
+// (sequential-write discount, fault hooks) that must behave uniformly
+// across every backend because they live above the WriteModel.
 #include "approx/memory_backend.h"
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 
 #include "approx/approx_memory.h"
 #include "approx/fault_hook.h"
+#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/resilience.h"
 #include "core/workload.h"
@@ -50,23 +51,69 @@ TEST(BackendRegistryTest, UnknownNameIsACleanStatus) {
             std::string::npos);
 }
 
-TEST(BackendRegistryTest, DuplicateAndEmptyRegistrationsAreRejected) {
-  EXPECT_FALSE(
-      RegisterMemoryBackend(kPcmBackendName, internal::MakePcmBackend));
-  EXPECT_FALSE(RegisterMemoryBackend("", internal::MakePcmBackend));
-  EXPECT_FALSE(RegisterMemoryBackend("null-factory", nullptr));
+// The CLI, the benches, SortService::RegisterTenant and CreateMemoryBackend
+// all report an unknown name with CheckBackendName's one status, which
+// lists every built-in.
+TEST(BackendRegistryTest, UnknownNameStatusListsEveryBuiltIn) {
+  const Status status = CheckBackendName("memristive");
+  ASSERT_FALSE(status.ok());
+  const auto backend = CreateMemoryBackend("memristive", BackendContext{});
+  ASSERT_FALSE(backend.ok());
+  EXPECT_EQ(backend.status().ToString(), status.ToString());
+  for (const std::string& name : RegisteredBackendNames()) {
+    EXPECT_TRUE(CheckBackendName(name).ok()) << name;
+    EXPECT_NE(status.ToString().find(name), std::string::npos) << name;
+  }
+  EXPECT_EQ(RegisteredBackendNames().size(), 4u);
 }
 
-TEST(BackendRegistryTest, PluginRegistrationIsCreatable) {
-  // A plug-in backend registers under a new name and is immediately
-  // constructible through the registry, exactly like the built-ins.
-  static const bool registered = RegisterMemoryBackend(
-      "test-plugin-dram", internal::MakeDramPreciseBackend);
-  EXPECT_TRUE(registered);
-  const auto backend =
-      CreateMemoryBackend("test-plugin-dram", BackendContext{});
-  ASSERT_TRUE(backend.ok());
-  EXPECT_EQ((*backend)->name(), kDramPreciseBackendName);
+// The backend table is immutable and takes no lock, and engines are built
+// on shard threads (SortService::EngineFor), so every built-in must be
+// creatable from many threads at once over one shared calibration cache,
+// and each concurrently built backend must match a serially built one.
+TEST(BackendRegistryTest, CreatesEveryBackendFromManyThreads) {
+  BackendContext context;
+  context.calibration = std::make_shared<mlc::CalibrationCache>(
+      context.mlc.WithT(context.mlc.precise_t_width), 2000,
+      context.calibration_seed);
+  const std::vector<std::string> names = RegisteredBackendNames();
+  constexpr size_t kRounds = 4;
+  struct Built {
+    std::string name;
+    PreciseCosts costs;
+    double ratio = 0.0;
+    bool has_device = false;
+  };
+  const auto build = [&context](const std::string& name) {
+    StatusOr<std::unique_ptr<MemoryBackend>> backend =
+        CreateMemoryBackend(name, context);
+    Built built;
+    if (!backend.ok()) return built;
+    MemoryBackend& b = **backend;
+    built.name = std::string(b.name());
+    built.costs = b.precise_costs();
+    built.ratio = b.WriteCostRatio(b.default_approx_knob());
+    built.has_device = b.cost_system() != nullptr;
+    return built;
+  };
+  std::vector<Built> concurrent(names.size() * kRounds);
+  {
+    ThreadPool pool(4);
+    pool.ParallelFor(0, concurrent.size(), [&](size_t i) {
+      concurrent[i] = build(names[i % names.size()]);
+    });
+  }
+  for (size_t i = 0; i < concurrent.size(); ++i) {
+    const std::string& name = names[i % names.size()];
+    SCOPED_TRACE(name);
+    const Built serial = build(name);
+    EXPECT_EQ(concurrent[i].name, name);
+    EXPECT_EQ(concurrent[i].costs.write, serial.costs.write);
+    EXPECT_EQ(concurrent[i].costs.pv, serial.costs.pv);
+    EXPECT_EQ(concurrent[i].costs.read, serial.costs.read);
+    EXPECT_EQ(concurrent[i].ratio, serial.ratio);
+    EXPECT_EQ(concurrent[i].has_device, name == kBankedPcmBackendName);
+  }
 }
 
 TEST(BackendContractTest, KnobConstantsAreCoherent) {

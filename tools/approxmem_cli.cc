@@ -904,14 +904,9 @@ int Main(int argc, char** argv) {
 
   core::EngineOptions options;
   options.backend = flags->GetString("backend", options.backend);
-  if (!approx::IsRegisteredBackend(options.backend)) {
-    std::string registered;
-    for (const std::string& name : approx::RegisteredBackendNames()) {
-      if (!registered.empty()) registered += ", ";
-      registered += name;
-    }
-    std::fprintf(stderr, "unknown --backend=%s (registered: %s)\n%s",
-                 options.backend.c_str(), registered.c_str(), kUsage);
+  const Status backend = approx::CheckBackendName(options.backend);
+  if (!backend.ok()) {
+    std::fprintf(stderr, "%s\n%s", backend.ToString().c_str(), kUsage);
     return 2;
   }
   options.seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
